@@ -121,7 +121,12 @@ def degree(h: Hypergraph, v: int) -> int:
 
 
 def degrees(h: Hypergraph) -> tuple[int, ...]:
-    return tuple(degree(h, v) for v in range(1, h.n + 1))
+    """Every vertex degree, counted in one pass over the edges."""
+    counts = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            counts[v - 1] += 1
+    return tuple(counts)
 
 
 def _check_vertex(h: Hypergraph, v: int) -> None:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .hypergraph import Hypergraph
 from .layers import decompose
 from .symtensor import SymTensor, layer_tensor_degree_normalized, multiplicity_weight
-from .uniformize import CoefficientPolicy, layer_coefficients
+from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients
 
 Monomial = tuple[int, ...]
 
@@ -144,9 +144,7 @@ def hypergraph_polynomial(
 
 def _boolean_monomials(t: SymTensor, n: int) -> dict[Monomial, int]:
     """Keys of t with every coefficient replaced by 1."""
-    k = t.order
-    if t.dim != n + k - 1:
-        raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
+    _layered_order(t, n)
     out: dict[Monomial, int] = {}
     for key in t.entries:
         if len(set(key)) != len(key):
@@ -196,9 +194,7 @@ def dnf_extract(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
 
 def dnf_extract_structural(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
     """Edges of the given size, read straight off the keys' padding suffixes."""
-    k = t.order
-    if t.dim != n + k - 1:
-        raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
+    k = _layered_order(t, n)
     if not 1 <= size <= k:
         raise ValueError(f"size {size} out of range [1, {k}]")
     expected = tuple(range(n + size, n + k))

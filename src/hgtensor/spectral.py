@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hypergraph import Hypergraph, adjacency_matrix_bretto, degrees
-from .symtensor import SymTensor, _arrangements
+from .symtensor import SymTensor, _contract, _float_contract, _float_terms
 from .uniformize import e_adjacency_tensor
 
 
@@ -37,20 +37,14 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
 def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | float], ...]:
     """Per-index (center, radius): the diagonal entry and its off-diagonal slice mass."""
     diagonal = {}
-    radii = [Fraction(0)] * t.dim
+    off_diagonal = []
     for key, value in t.entries.items():
-        first = key[0]
-        if all(i == first for i in key):
-            diagonal[first] = value
-            continue
-        for i in sorted(set(key)):
-            rest = list(key)
-            rest.remove(i)
-            radii[i - 1] += abs(value) * _arrangements(rest)
-    disks = []
-    for i in range(1, t.dim + 1):
-        disks.append((diagonal.get(i, Fraction(0)), radii[i - 1]))
-    return tuple(disks)
+        if key[0] == key[-1]:  # a sorted key with equal ends repeats one index
+            diagonal[key[0]] = value
+        else:
+            off_diagonal.append((key, abs(value)))
+    radii = _contract(off_diagonal, t.order, t.dim)
+    return tuple((diagonal.get(i, Fraction(0)), radii[i - 1]) for i in range(1, t.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     if not support:
         raise ValueError("power iteration needs a nonzero tensor")
 
+    terms = _float_terms(t.canonical_items())
     x = [0.0] * t.dim
     for i in support:
         x[i - 1] = 1.0
@@ -134,7 +129,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     iterations = 0
     low = high = 0.0
     while True:
-        contracted = [float(v) for v in t.apply(x)]
+        contracted = _float_contract(terms, x)
         ratios = [contracted[i - 1] / x[i - 1] ** (m - 1) for i in support]
         low, high = min(ratios), max(ratios)
         iterations += 1

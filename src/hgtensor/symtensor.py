@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
@@ -33,12 +33,83 @@ def multiplicity_weight(key: Sequence[int]) -> int:
     return weight
 
 
-def _arrangements(key: Sequence[int]) -> int:
-    """Distinct orderings of a multiset of indices."""
-    total = math.factorial(len(key))
-    for c in Counter(key).values():
-        total //= math.factorial(c)
-    return total
+def _leave_one_out(items: Iterable[tuple[Key, Value]]) -> Iterator[tuple[int, Value, int, Key]]:
+    """The leave-one-out walk behind slice sums, contraction and disk radii.
+
+    For every canonical key and every distinct index i in it, yields
+    (i, value, arrangements, rest): rest is the key with one i removed, and
+    arrangements = w(key)·c_i/m is the number of dense positions
+    (i, i_2, ..., i_m) whose tail is an ordering of rest, with c_i the
+    multiplicity of i in the key.  Targets come in ascending order per key.
+    """
+    for key, value in items:
+        m = len(key)
+        weight = multiplicity_weight(key)
+        previous = 0
+        for pos, i in enumerate(key):
+            if i != previous:
+                previous = i
+                yield i, value, weight * key.count(i) // m, key[:pos] + key[pos + 1 :]
+
+
+def _fold(terms: Iterable[tuple[int, Value, Key]], xs: Sequence, zero) -> list:
+    """out[i] = sum of coefficient * prod(xs[j] for j in rest) over terms (i, coefficient, rest).
+
+    xs and out are indexed from 1 (slot 0 is padding).  Terms are added in
+    the order given, which is what fixes float results bit for bit.
+    """
+    out = [zero] * len(xs)
+    for i, product, rest in terms:
+        for j in rest:
+            product *= xs[j]
+        out[i] += product
+    return out
+
+
+def _float_terms(items: Iterable[tuple[Key, Value]]) -> list[tuple[int, float, Key]]:
+    """(target, value * arrangements rounded once to float, rest) per walk term."""
+    terms = []
+    for i, value, arrangements, rest in _leave_one_out(items):
+        if isinstance(value, Fraction):
+            # int true division rounds correctly, so this equals float(value * arrangements)
+            coefficient = value.numerator * arrangements / value.denominator
+        else:
+            coefficient = float(value * arrangements)
+        terms.append((i, coefficient, rest))
+    return terms
+
+
+def _float_contract(terms: list[tuple[int, float, Key]], x: Sequence) -> list[float]:
+    """Fold prebuilt float terms against x, as apply does for float input."""
+    return _fold(terms, [0.0, *map(float, x)], 0.0)[1:]
+
+
+def _contract(
+    items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Sequence | None = None
+) -> list:
+    """Per-index sums of value * arrangements * prod(x[rest]) over the walk of ``items``.
+
+    Exact (Fractions) when every value and every x component is rational;
+    otherwise in floats, adding terms in the order of ``items``.  x = None
+    stands for the all-ones vector, which turns the sums into slice sums.
+    At order 1 every rest is empty, so x takes no part.
+    """
+    items = list(items)
+    if x is None or order == 1:
+        x = [1] * dim
+    rational = (int, Fraction)
+    if not all(isinstance(v, rational) for _, v in items) or not all(
+        isinstance(c, rational) for c in x
+    ):
+        return _float_contract(_float_terms(items), x)
+    # over common denominators the fold adds Python integers; one Fraction per index at the end
+    value_den = math.lcm(*(v.denominator for _, v in items))
+    x_den = math.lcm(*(c.denominator for c in x))
+    scaled = ((key, v.numerator * (value_den // v.denominator)) for key, v in items)
+    terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
+    sums = _fold(terms, [0, *(c.numerator * (x_den // c.denominator) for c in x)], 0)
+    scale = value_den * x_den ** (order - 1)
+    return [Fraction(s, scale) for s in sums[1:]]
 
 
 def format_value(v: Value) -> str:
@@ -108,6 +179,10 @@ class SymTensor:
         """Count of nonzero dense positions (orbit sizes summed)."""
         return sum(multiplicity_weight(k) for k in self.entries)
 
+    def slice_sums(self) -> list:
+        """Every slice sum, indices 1..dim, in one pass over the keys."""
+        return _contract(self.entries.items(), self.order, self.dim)
+
     def slice_sum(self, i: int):
         """Sum of all dense entries whose first index is i.
 
@@ -115,13 +190,8 @@ class SymTensor:
         """
         if not 1 <= i <= self.dim:
             raise ValueError(f"index {i} outside [1, {self.dim}]")
-        total = Fraction(0)
-        for key, value in self.entries.items():
-            if i in key:
-                rest = list(key)
-                rest.remove(i)
-                total += value * _arrangements(rest)
-        return total
+        touching = [(key, value) for key, value in self.entries.items() if i in key]
+        return _contract(touching, self.order, self.dim)[i - 1]
 
     def total_sum(self):
         """Sum of every dense entry."""
@@ -134,21 +204,12 @@ class SymTensor:
         """Contract against a vector on the last m-1 modes.
 
         Component i is the sum over dense positions (i, i_2, ..., i_m) of
-        value * x_{i_2} * ... * x_{i_m}.  Exact for rational inputs.
+        value * x_{i_2} * ... * x_{i_m}.  Exact for rational inputs; with any
+        float value or component it is computed in floats.
         """
         if len(x) != self.dim:
             raise ValueError(f"vector length {len(x)} does not match dim {self.dim}")
-        out: list = [Fraction(0)] * self.dim
-        for key in sorted(self.entries):
-            value = self.entries[key]
-            for i in sorted(set(key)):
-                rest = list(key)
-                rest.remove(i)
-                prod = value * _arrangements(rest)
-                for j in rest:
-                    prod = prod * x[j - 1]
-                out[i - 1] = out[i - 1] + prod
-        return out
+        return _contract(self.canonical_items(), self.order, self.dim, x)
 
     def scale_add_identity(self, alpha: Value, beta: Value) -> SymTensor:
         """Return alpha * self + beta * I, with I the diagonal identity."""
@@ -209,10 +270,7 @@ def layer_tensor_eigen_normalized(hk: Hypergraph, k: int | None = None) -> SymTe
     floating point; vertices of degree zero never occur in a stored key.
     """
     k = _uniform_cardinality(hk, k)
-    deg = [0] * hk.n
-    for e in hk.edges:
-        for v in e:
-            deg[v - 1] += 1
+    deg = degrees(hk)
     base = 1.0 / math.factorial(k - 1)
     entries: dict[Key, float] = {}
     for e in hk.edges:

@@ -176,11 +176,20 @@ def _as_int(value, what: str) -> int:
     return int(as_fraction)
 
 
+def _layered_order(t: SymTensor, n: int) -> int:
+    """The order k of t, after checking that t has the layered shape dim = n + k - 1."""
+    k = t.order
+    if t.dim != n + k - 1:
+        raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
+    return k
+
+
 def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
     """Original vertex degrees, read as the first n slice sums."""
     if not 0 <= n <= t.dim:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
-    return tuple(_as_int(t.slice_sum(i), f"slice sum {i}") for i in range(1, n + 1))
+    sums = t.slice_sums()
+    return tuple(_as_int(sums[i - 1], f"slice sum {i}") for i in range(1, n + 1))
 
 
 def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -190,10 +199,9 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     cumulative[j-1] counts edges of size <= j.  The last cumulative value is
     the edge count, recovered as total_sum / k_max since no slice carries it.
     """
-    k = t.order
-    if t.dim != n + k - 1:
-        raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
-    cumulative = [_as_int(t.slice_sum(n + i), f"slice sum {n + i}") for i in range(1, k)]
+    k = _layered_order(t, n)
+    sums = t.slice_sums()
+    cumulative = [_as_int(sums[n + i - 1], f"slice sum {n + i}") for i in range(1, k)]
     total = t.total_sum()
     cumulative.append(_as_int(Fraction(total) / k, "total_sum / order"))
     per_size = []
@@ -213,9 +221,7 @@ def reconstruct(t: SymTensor, n: int) -> Hypergraph:
     is exactly the suffix {n+s, ..., n+k_max-1} for s the size of the part
     at or below n; anything else is rejected.
     """
-    k = t.order
-    if t.dim != n + k - 1:
-        raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
+    k = _layered_order(t, n)
     edges = []
     for key, _ in t.canonical_items():
         if len(set(key)) != len(key):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -383,3 +384,21 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("n=3\n")
+
+
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+GOLDEN_COMMANDS = ("eig", "graph-check", "bound", "degrees", "cardinalities")
+
+
+class TestGoldenOutput:
+    """Commands that read slice sums or contract the tensor keep their exact output."""
+
+    def test_every_input_has_every_command(self):
+        expected = {f"{c} {p.name}" for c in GOLDEN_COMMANDS for p in DATA.glob("*.hg")}
+        assert set(GOLDEN) == expected
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_stdout_and_exit_code(self, capsys, case):
+        command, name = case.split()
+        code, out, _ = run_cli(capsys, command, str(DATA / name))
+        assert (code, out) == (GOLDEN[case]["exit"], GOLDEN[case]["stdout"])

@@ -115,6 +115,12 @@ class TestDegrees:
         with pytest.raises(ValueError, match="out of range"):
             degree(sample, 8)
 
+    def test_one_pass_matches_per_vertex_degree(self):
+        rng = random.Random(112)
+        for _ in range(50):
+            h = random_hypergraph(rng)
+            assert degrees(h) == tuple(degree(h, v) for v in range(1, h.n + 1))
+
 
 class TestMatrices:
     def test_incidence_shape_and_column(self, sample):

@@ -72,6 +72,18 @@ class TestGershgorin:
         assert [r for _, r in disks] == [2, 2, 2, 0]
 
 
+class TestGershgorinEdgeCases:
+    def test_order_one_keys_are_all_diagonal(self):
+        t = SymTensor(1, 3, {(1,): Fraction(2), (3,): Fraction(-1, 2)})
+        assert gershgorin_disks(t) == ((2, 0), (0, 0), (Fraction(-1, 2), 0))
+
+    def test_negative_off_diagonal_values_count_by_magnitude(self):
+        t = SymTensor(3, 3, {(1, 2, 3): Fraction(-1, 2), (1, 1, 2): Fraction(-3), (2, 2, 2): Fraction(4)})
+        assert gershgorin_disks(t) == ((0, 7), (4, 4), (0, 1))
+        flipped = SymTensor(3, 3, {key: abs(value) for key, value in t.entries.items()})
+        assert [r for _, r in gershgorin_disks(flipped)] == [7, 4, 1]
+
+
 class TestBound:
     def test_sample_bound(self, sample):
         report = spectral_bound(sample)
