@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .hypergraph import Hypergraph
@@ -22,20 +21,22 @@ from .symtensor import SymTensor
 from .uniformize import e_adjacency_tensor
 
 
-@lru_cache(maxsize=None)
 def partitions_count(m: int, s: int) -> int:
     """Number of partitions of m into exactly s positive parts.
 
-    Satisfies p_s(m) = p_s(m - s) + p_{s-1}(m - 1), with p_0(0) = 1,
-    p_0(m) = 0 for m > 0, and p_s(m) = 0 for s > m.
+    Removing one from each part maps these onto the partitions of m - s into
+    parts of size at most s, so one coin-change table over part sizes
+    1..min(s, m - s) counts them.  Zero for negative input and for s > m;
+    p_0(0) = 1.
     """
-    if m < 0 or s < 0:
+    if m < 0 or s < 0 or s > m:
         return 0
-    if s == 0:
-        return 1 if m == 0 else 0
-    if s > m:
-        return 0
-    return partitions_count(m - s, s) + partitions_count(m - 1, s - 1)
+    rest = m - s
+    ways = [1] + [0] * rest
+    for part in range(1, min(s, rest) + 1):
+        for total in range(part, rest + 1):
+            ways[total] += ways[total - part]
+    return ways[rest]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -48,20 +49,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def banerjee_alpha(k_max: int, s: int) -> int:
     """Positions an s-vertex edge occupies in an order-k_max tensor.
 
-    Computed as the composition sum over (k_1, ..., k_s) positive with sum
-    k_max of the multinomial k_max!/(k_1! ... k_s!); this equals the number
-    of surjections from k_max slots onto s labels.
+    That is the number of surjections from k_max slots onto s labels,
+    computed by inclusion-exclusion as sum_j (-1)^j C(s, j) (s - j)^k_max.
     """
     if not 1 <= s <= k_max:
         raise ValueError(f"need 1 <= s <= k_max, got s={s}, k_max={k_max}")
-    total = 0
-    k_factorial = math.factorial(k_max)
-    for composition in _compositions(k_max, s):
-        term = k_factorial
-        for part in composition:
-            term //= math.factorial(part)
-        total += term
-    return total
+    return sum((-1) ** j * math.comb(s, j) * (s - j) ** k_max for j in range(s + 1))
 
 
 def banerjee_tensor(h: Hypergraph) -> SymTensor:
@@ -74,16 +67,13 @@ def banerjee_tensor(h: Hypergraph) -> SymTensor:
     if h.p == 0:
         raise ValueError("cannot build a tensor for a hypergraph with no edges")
     k = h.k_max
+    values = {s: Fraction(s, banerjee_alpha(k, s)) for s in {len(e) for e in h.edges}}
     entries: dict[tuple[int, ...], Fraction] = {}
     for e in h.edges:
         members = sorted(e)
-        s = len(members)
-        value = Fraction(s, banerjee_alpha(k, s))
-        for composition in _compositions(k, s):
-            key_parts = []
-            for vertex, repeats in zip(members, composition):
-                key_parts.extend([vertex] * repeats)
-            entries[tuple(key_parts)] = value
+        value = values[len(members)]
+        for repeats in _compositions(k, len(members)):
+            entries[tuple(v for v, r in zip(members, repeats) for _ in range(r))] = value
     return SymTensor(k, h.n, entries)
 
 
@@ -105,17 +95,16 @@ class ComparisonReport:
 
 
 def compare_tensors(h: Hypergraph) -> ComparisonReport:
-    """Measure both tensors of h and collect the headline numbers.
+    """Build both tensors of h and collect the headline numbers.
 
     The describe count is the number of independent values needed to write
-    the tensor down: one per edge for the layered model, one per partition
-    shape of k_max into edge-size parts for the all-positions model.
+    the tensor down: p for the layered model, and sum_s count_s * p_s(k_max)
+    (partitions of k_max into s parts) for the all-positions model.
     """
     layered = e_adjacency_tensor(h)
     rival = banerjee_tensor(h)
     k = h.k_max
-    size_counts = Counter(len(e) for e in h.edges)
-    describe = sum(partitions_count(k, s) * c for s, c in size_counts.items())
+    size_counts = sorted(Counter(len(e) for e in h.edges).items())
     return ComparisonReport(
         order=k,
         layered_dim=layered.dim,
@@ -125,9 +114,7 @@ def compare_tensors(h: Hypergraph) -> ComparisonReport:
         layered_nnz_positions=layered.nnz_positions(),
         banerjee_nnz_positions=rival.nnz_positions(),
         layered_describe_count=h.p,
-        banerjee_describe_count=describe,
+        banerjee_describe_count=sum(c * partitions_count(k, s) for s, c in size_counts),
         layered_entry_value=Fraction(1, math.factorial(k - 1)),
-        banerjee_entry_values={
-            s: Fraction(s, banerjee_alpha(k, s)) for s in sorted(size_counts)
-        },
+        banerjee_entry_values={s: Fraction(s, banerjee_alpha(k, s)) for s, _ in size_counts},
     )

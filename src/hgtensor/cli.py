@@ -8,6 +8,8 @@ success, 1 on validation errors, 2 when the eigensolver fails to converge
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 import sys
 from fractions import Fraction
 
@@ -161,53 +163,28 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    h = _read_hypergraph(args.path)
-    report = compare_tensors(h)
+    report = compare_tensors(_read_hypergraph(args.path))
+    pairs = []  # (name, text); ints print with str, as format_value rounds them past 2**53
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        per_size = value.items() if isinstance(value, dict) else [(None, value)]
+        for s, v in per_size:
+            name = field.name if s is None else f"{field.name[:-1]}_size_{s}"
+            pairs.append((name, format_value(v) if isinstance(v, Fraction) else str(v)))
     if args.format == "keyvalue":
-        lines = [
-            f"order={report.order}",
-            f"layered_dim={report.layered_dim}",
-            f"banerjee_dim={report.banerjee_dim}",
-            f"layered_total_elements={report.layered_total_elements}",
-            f"banerjee_total_elements={report.banerjee_total_elements}",
-            f"layered_nnz_positions={report.layered_nnz_positions}",
-            f"banerjee_nnz_positions={report.banerjee_nnz_positions}",
-            f"layered_describe_count={report.layered_describe_count}",
-            f"banerjee_describe_count={report.banerjee_describe_count}",
-            f"layered_entry_value={format_value(report.layered_entry_value)}",
-        ]
-        for s, value in report.banerjee_entry_values.items():
-            lines.append(f"banerjee_entry_value_size_{s}={format_value(value)}")
-    else:
-        rows = [
-            ("metric", "layered", "banerjee"),
-            ("order", str(report.order), str(report.order)),
-            ("dim", str(report.layered_dim), str(report.banerjee_dim)),
-            (
-                "total_elements",
-                str(report.layered_total_elements),
-                str(report.banerjee_total_elements),
-            ),
-            (
-                "nnz_positions",
-                str(report.layered_nnz_positions),
-                str(report.banerjee_nnz_positions),
-            ),
-            (
-                "describe_count",
-                str(report.layered_describe_count),
-                str(report.banerjee_describe_count),
-            ),
-            ("entry_value", format_value(report.layered_entry_value), "-"),
-        ]
-        for s, value in report.banerjee_entry_values.items():
-            rows.append((f"entry_value[s={s}]", "-", format_value(value)))
-        widths = [max(len(row[c]) for row in rows) for c in range(3)]
-        lines = [
-            "  ".join(row[c].ljust(widths[c]) if c == 0 else row[c].rjust(widths[c]) for c in range(3)).rstrip()
-            for row in rows
-        ]
-    print("\n".join(lines))
+        print("\n".join(f"{name}={text}" for name, text in pairs))
+        return EX_OK
+    models = ("layered", "banerjee")
+    table: dict[str, dict[str, str]] = {}  # metric -> {model: cell}
+    for name, text in pairs:
+        model, _, metric = name.partition("_")  # an unprefixed name is shared
+        row = table.setdefault(re.sub(r"_size_(\d+)$", r"[s=\1]", metric or model), {})
+        row.update(dict.fromkeys([model] if metric else models, text))
+    rows = [["metric", *models]]
+    rows += [[metric, *(row.get(m, "-") for m in models)] for metric, row in table.items()]
+    widths = [max(len(row[c]) for row in rows) for c in range(3)]
+    for row in rows:
+        print(row[0].ljust(widths[0]), *(cell.rjust(w) for cell, w in zip(row[1:], widths[1:])), sep="  ")
     return EX_OK
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .hypergraph import Hypergraph
 from .layers import decompose
 from .symtensor import SymTensor, layer_tensor_degree_normalized, multiplicity_weight
-from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients
+from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients, reconstruct
 
 Monomial = tuple[int, ...]
 
@@ -193,14 +193,8 @@ def dnf_extract(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
 
 
 def dnf_extract_structural(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
-    """Edges of the given size, read straight off the keys' padding suffixes."""
+    """Edges of the given size among reconstruct(t, n), which rejects malformed keys."""
     k = _layered_order(t, n)
     if not 1 <= size <= k:
         raise ValueError(f"size {size} out of range [1, {k}]")
-    expected = tuple(range(n + size, n + k))
-    out = set()
-    for key in t.entries:
-        padding = tuple(i for i in key if i > n)
-        if padding == expected and len(key) - len(padding) == size:
-            out.add(frozenset(i for i in key if i <= n))
-    return out
+    return {e for e in reconstruct(t, n).edges if len(e) == size}

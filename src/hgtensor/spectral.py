@@ -61,17 +61,15 @@ def spectral_bound(h: Hypergraph) -> BoundReport:
     """max(Delta, Delta*) for the layered tensor of h.
 
     Delta is the largest vertex degree; Delta* is the largest padding-vertex
-    degree, i.e. the largest count of edges of size <= i over
-    i = 1..k_max - 1.  Every disk radius is one of these degrees, so the
-    bound dominates all Gershgorin disks.
+    degree.  Padding vertex n+i lies on the edges of size <= i, so Delta* is
+    the count of edges smaller than k_max.  Every disk radius is one of these
+    degrees, so the bound dominates all Gershgorin disks.
     """
     if h.p == 0:
         raise ValueError("the bound needs at least one edge")
     delta = max(degrees(h), default=0)
     k = h.k_max
-    delta_star = 0
-    for i in range(1, k):
-        delta_star = max(delta_star, sum(1 for e in h.edges if len(e) <= i))
+    delta_star = sum(1 for e in h.edges if len(e) < k)
     return BoundReport(
         delta=delta,
         delta_star=delta_star,

@@ -197,13 +197,12 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
 
     Returns (cumulative, per_size), both indexed by cardinality 1..k_max:
     cumulative[j-1] counts edges of size <= j.  The last cumulative value is
-    the edge count, recovered as total_sum / k_max since no slice carries it.
+    the edge count: no slice carries it, so it is the slice sums' total / k_max.
     """
     k = _layered_order(t, n)
     sums = t.slice_sums()
     cumulative = [_as_int(sums[n + i - 1], f"slice sum {n + i}") for i in range(1, k)]
-    total = t.total_sum()
-    cumulative.append(_as_int(Fraction(total) / k, "total_sum / order"))
+    cumulative.append(_as_int(Fraction(sum(sums)) / k, "total_sum / order"))
     per_size = []
     previous = 0
     for j, c in enumerate(cumulative, start=1):

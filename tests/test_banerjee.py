@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hgtensor import (
     banerjee_alpha,
     banerjee_tensor,
     compare_tensors,
+    e_adjacency_tensor,
     layer_tensor_degree_normalized,
     partitions_count,
 )
@@ -56,6 +59,13 @@ class TestPartitions:
             for s in range(1, m + 1):
                 assert partitions_count(m, s) == enumerate_partitions(m, s)
 
+    def test_zero_negative_and_oversized_inputs(self):
+        for m in range(-2, 8):
+            for s in range(-2, 10):
+                expected = 0 if m < 0 or s < 0 else enumerate_partitions(m, s)
+                assert partitions_count(m, s) == expected
+        assert partitions_count(0, 0) == 1
+
 
 class TestAlpha:
     def test_anchors(self):
@@ -76,6 +86,15 @@ class TestAlpha:
         for k in range(1, 6):
             for s in range(1, k + 1):
                 assert banerjee_alpha(k, s) == enumerate_surjections(k, s)
+
+    def test_stirling_closed_form(self):
+        # alpha(k, s) = s! * S(k, s), with S from its triangle recurrence.
+        stirling = [[1]]
+        for k in range(1, 23):
+            prev = stirling[-1] + [0]
+            stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
+            for s in range(1, k + 1):
+                assert banerjee_alpha(k, s) == math.factorial(s) * stirling[k][s]
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="1 <= s <= k_max"):
@@ -144,8 +163,6 @@ class TestComparison:
         }
 
     def test_nnz_formulas(self):
-        import math
-
         rng = random.Random(603)
         for _ in range(30):
             h = random_hypergraph(rng, max_n=8, max_k=4)
@@ -158,3 +175,24 @@ class TestComparison:
             assert report.banerjee_describe_count == sum(
                 partitions_count(k, len(e)) for e in h.edges
             )
+            # Every field agrees with the two tensors built in full.
+            layered, rival = e_adjacency_tensor(h), banerjee_tensor(h)
+            assert report.order == layered.order == rival.order
+            assert (report.layered_dim, report.banerjee_dim) == (layered.dim, rival.dim)
+            assert report.layered_total_elements == layered.dim**k
+            assert report.banerjee_total_elements == rival.dim**k
+            assert report.layered_nnz_positions == layered.nnz_positions()
+            assert report.banerjee_nnz_positions == rival.nnz_positions()
+            assert report.layered_describe_count == len(layered.entries)
+            # A key's support is its edge, and its multiplicities a partition of k.
+            shapes, values_by_size = {}, {}
+            for key, value in rival.entries.items():
+                shapes.setdefault(frozenset(key), set()).add(tuple(sorted(Counter(key).values())))
+                values_by_size.setdefault(len(set(key)), set()).add(value)
+            assert report.banerjee_describe_count == sum(len(v) for v in shapes.values())
+            assert set(layered.entries.values()) == {report.layered_entry_value}
+            assert report.banerjee_entry_values == {s: v for s, (v,) in values_by_size.items()}
+
+    def test_rejects_edgeless(self):
+        with pytest.raises(ValueError, match="no edges"):
+            compare_tensors(Hypergraph(3))

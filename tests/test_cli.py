@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -387,11 +388,20 @@ def test_module_entry_point():
 
 
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
-GOLDEN_COMMANDS = ("eig", "graph-check", "bound", "degrees", "cardinalities")
+GOLDEN_COMMANDS = (
+    "eig",
+    "graph-check",
+    "bound",
+    "degrees",
+    "cardinalities",
+    "compare",
+    "compare --format text",
+)
 
 
 class TestGoldenOutput:
-    """Commands that read slice sums or contract the tensor keep their exact output."""
+    """Commands that read slice sums, contract the tensor or compare the two
+    models keep their exact output (k12.hg has total element counts above 2**53)."""
 
     def test_every_input_has_every_command(self):
         expected = {f"{c} {p.name}" for c in GOLDEN_COMMANDS for p in DATA.glob("*.hg")}
@@ -399,6 +409,39 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_stdout_and_exit_code(self, capsys, case):
-        command, name = case.split()
-        code, out, _ = run_cli(capsys, command, str(DATA / name))
+        *argv, name = case.split()
+        code, out, _ = run_cli(capsys, *argv, str(DATA / name))
         assert (code, out) == (GOLDEN[case]["exit"], GOLDEN[case]["stdout"])
+
+
+def partition_numbers(limit: int) -> list[int]:
+    """p(0..limit), all partitions of each m, by Euler's pentagonal recurrence."""
+    p = [1] + [0] * limit
+    for m in range(1, limit + 1):
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            sign = 1 if j % 2 else -1
+            p[m] += sign * p[m - g]
+            if g + j <= m:
+                p[m] += sign * p[m - g - j]
+            j += 1
+    return p
+
+
+class TestClosedFormProbes:
+    """Inputs whose counts are far too large to enumerate answer at once."""
+
+    def run_timed(self, capsys, *argv: str) -> tuple[int, str]:
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        return code, out
+
+    def test_partitions_of_a_large_m(self, capsys):
+        # Partitions of 3000 into 1500 parts are the partitions of 1500.
+        code, out = self.run_timed(capsys, "partitions", "--m", "3000", "--s", "1500")
+        assert code == 0 and out == f"{partition_numbers(1500)[1500]}\n"
+
+    def test_alpha_beyond_enumeration(self, capsys):
+        code, out = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
+        assert code == 0 and out == "14620825330739032204800\n"

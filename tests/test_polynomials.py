@@ -190,6 +190,15 @@ class TestDnf:
             with pytest.raises(ValueError, match="out of range"):
                 dnf_extract_structural(t, 7, bad)
 
+    def test_structural_route_rejects_malformed_keys(self):
+        # n = 3, order 3: a 2-edge must carry the padding (5,), not (4,).
+        wrong_padding = SymTensor(3, 5, {(1, 2, 3): Fraction(1, 2), (1, 2, 4): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="padding"):
+            dnf_extract_structural(wrong_padding, 3, 3)
+        repeated = SymTensor(3, 5, {(1, 1, 5): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="repeats an index"):
+            dnf_extract_structural(repeated, 3, 2)
+
     def test_dim_mismatch(self, sample):
         t = e_adjacency_tensor(sample)
         with pytest.raises(ValueError, match="does not match"):
