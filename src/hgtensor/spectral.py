@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hypergraph import Hypergraph, adjacency_matrix_bretto, degrees
-from .symtensor import SymTensor, _contract, _float_contract, _float_terms
+from .hypergraph import Hypergraph, degrees
+from .symtensor import SymTensor, _contract, _float_contract, _float_terms, layer_tensor_raw
 from .uniformize import e_adjacency_tensor
 
 
@@ -141,8 +141,8 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
             nxt[i - 1] = contracted[i - 1] ** (1.0 / (m - 1))
         top = max(nxt)
         nxt = [v / top for v in nxt]
-        if min(nxt[i - 1] for i in support) < 1e-300:
-            # a support component underflowed: the bracket cannot improve
+        if min(nxt[i - 1] for i in support) ** (m - 1) < 1e-300:
+            # a support component underflowed: the next ratios would divide by ~0
             break
         x = nxt
 
@@ -175,41 +175,30 @@ class GraphCaseReport:
     zero_eigenpair_ok: bool
 
 
-def graph_consistency_check(g: Hypergraph, tol: float = 1e-8) -> GraphCaseReport:
+def graph_consistency_check(g: Hypergraph) -> GraphCaseReport:
     """For a 2-uniform hypergraph, confirm the layered tensor is the bordered matrix.
 
     The order-2 layered tensor must look like [[c_2 A, 0], [0, 0]] with A the
     shared-edge adjacency matrix and c_2 = 1 under the handshake policy, its
-    dominant eigenvalue must be c_2 times the matrix one, and the padding
-    axis must carry an exact zero eigenpair.
+    dominant eigenvalue must be c_2 times the matrix one within 1e-8, and the
+    padding axis must carry an exact zero eigenpair.  A is the raw 2-layer
+    tensor: one canonical key per edge, the nonzero upper triangle.
     """
     if g.p == 0 or any(len(e) != 2 for e in g.edges):
         raise ValueError("graph consistency check needs a 2-uniform hypergraph with edges")
     n = g.n
     t = e_adjacency_tensor(g)
-    a = adjacency_matrix_bretto(g)
+    a = layer_tensor_raw(g, 2)
     c2 = Fraction(1)
 
-    block_ok = True
-    for u in range(1, n + 1):
-        for v in range(u, n + 1):
-            if t.get((u, v)) != c2 * a[u - 1][v - 1]:
-                block_ok = False
-    for i in range(1, n + 2):
-        if t.get((i, n + 1)) != 0:
-            block_ok = False
-
-    matrix_entries = {}
-    for u in range(1, n + 1):
-        for v in range(u, n + 1):
-            if a[u - 1][v - 1] != 0:
-                matrix_entries[(u, v)] = a[u - 1][v - 1]
-    graph_pair = power_iteration(SymTensor(2, n, matrix_entries))
+    # equal key maps: the n x n block is c_2 A and no key touches index n+1
+    block_ok = t.entries == {key: c2 * v for key, v in a.entries.items()}
+    graph_pair = power_iteration(a)
     layered_pair = power_iteration(t)
     relation_ok = (
         graph_pair.converged
         and layered_pair.converged
-        and abs(layered_pair.value - float(c2) * graph_pair.value) <= tol
+        and abs(layered_pair.value - float(c2) * graph_pair.value) <= 1e-8
     )
 
     axis = [Fraction(0)] * (n + 1)

@@ -122,17 +122,15 @@ def layered_uniform(h: Hypergraph, policy: CoefficientPolicy = "handshake") -> L
     dec = decompose(h)
     coefficients = layer_coefficients(policy, dec.k_max)
 
-    def weighted_layer(k: int) -> tuple[WeightedHypergraph, list[int]]:
+    def weighted_layer(k: int) -> WeightedHypergraph:
         layer = dec.layer(k)
-        ids = [i for i, e in enumerate(h.edges, start=1) if len(e) == k]
-        return WeightedHypergraph(layer, (coefficients[k - 1],) * layer.p), ids
+        return WeightedHypergraph(layer, (coefficients[k - 1],) * layer.p)
 
-    current, origin = weighted_layer(1)
+    current = weighted_layer(1)
     for k in range(1, dec.k_max):
-        current = vertex_augment(current, h.n + k)
-        nxt, nxt_ids = weighted_layer(k + 1)
-        current = merge(current, nxt)
-        origin.extend(nxt_ids)
+        current = merge(vertex_augment(current, h.n + k), weighted_layer(k + 1))
+    # each merge appends the next layer, so edges end up stably sorted by size
+    origin = sorted(range(1, h.p + 1), key=lambda i: len(h.edges[i - 1]))
     return LayeredUniform(current, h.n, dec.k_max, tuple(origin))
 
 

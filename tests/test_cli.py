@@ -322,6 +322,14 @@ class TestEig:
         ]
         assert lines[9:] == ["x_3=1", "x_4=1", "x_5=1", "x_6=0"]
 
+    def test_underflowing_block_stops_unconverged(self, capsys, monkeypatch):
+        # x shrinks on the 3-edge block until x**2, the ratio's divisor, underflows
+        monkeypatch.setattr(sys, "stdin", io.StringIO("6\n1 2\n2 3\n1 3\n4 5 6\n"))
+        code, out, err = run_cli(capsys, "eig", "-")
+        assert code == 2
+        assert out.startswith("converged=false\n")
+        assert err == ""
+
     def test_loose_tolerance_converges_faster(self, capsys):
         code, out, _ = run_cli(capsys, "eig", "--tol", "0.5", SAMPLE)
         assert code == 0
@@ -347,6 +355,16 @@ class TestGraphCheck:
             "relation_ok=true\n"
             "zero_eigenpair_ok=true\n"
         )
+
+    def test_long_cycle_is_linear_in_the_edges(self, capsys, monkeypatch):
+        n = 10_000
+        cycle = "".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n{cycle}"))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "graph-check", "-")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "block_ok=true\n" in out and "relation_ok=true\n" in out
 
     def test_rejects_mixed_cardinalities(self, capsys):
         code, _, err = run_cli(capsys, "graph-check", SAMPLE)

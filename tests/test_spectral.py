@@ -8,17 +8,19 @@ import pytest
 from hgtensor import (
     Hypergraph,
     SymTensor,
+    adjacency_matrix_bretto,
     check_eigenpair,
     e_adjacency_tensor,
     gershgorin_disks,
     graph_consistency_check,
     layer_tensor_degree_normalized,
+    layer_tensor_raw,
     parse_hypergraph,
     power_iteration,
     spectral_bound,
 )
 
-from conftest import random_hypergraph
+from conftest import random_hypergraph, random_uniform_hypergraph
 
 K3 = "3\n1 2\n2 3\n1 3\n"
 
@@ -224,6 +226,22 @@ class TestGraphCase:
                 g = Hypergraph(n, tuple(pairs)) if pairs else None
             report = graph_consistency_check(g)
             assert report.block_ok and report.zero_eigenpair_ok
+
+    def test_raw_layer_is_the_upper_triangle_of_the_bretto_matrix(self):
+        # graph_consistency_check takes the matrix view A from layer_tensor_raw
+        rng = random.Random(705)
+        for _ in range(40):
+            g = random_uniform_hypergraph(rng, k=2, max_n=12, max_edges=20)
+            a = adjacency_matrix_bretto(g)
+            upper = {
+                (u, v): a[u - 1][v - 1]
+                for u in range(1, g.n + 1)
+                for v in range(u, g.n + 1)
+                if a[u - 1][v - 1] != 0
+            }
+            t = layer_tensor_raw(g, 2)
+            assert (t.order, t.dim) == (2, g.n)
+            assert t.entries == upper
 
     def test_rejects_non_graphs(self, sample):
         with pytest.raises(ValueError, match="2-uniform"):
