@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
-from fractions import Fraction
 
 from .banerjee import banerjee_alpha, banerjee_tensor, compare_tensors, partitions_count
 from .hypergraph import Hypergraph, parse_hypergraph
@@ -53,23 +53,28 @@ def _read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(handle.read())
 
 
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _text(value) -> str:
+    """A report value as text; ints print with str, as format_value rounds them past 2**53."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else format_value(value)
 
 
-def _cmd_info(args) -> int:
-    h = _read_hypergraph(args.path)
-    lines = [f"n={h.n}", f"edges={h.p}", f"k_max={h.k_max}"]
+def _report(pairs) -> None:
+    """Print one name=value line per (name, value) pair."""
+    print("\n".join(f"{name}={_text(value)}" for name, value in pairs))
+
+
+def _cmd_info(h: Hypergraph, args) -> int:
+    pairs = [("n", h.n), ("edges", h.p), ("k_max", h.k_max)]
     if h.p:
         dec = decompose(h)
-        for k in range(1, dec.k_max + 1):
-            lines.append(f"size_{k}={dec.layer(k).p}")
-    print("\n".join(lines))
+        pairs += [(f"size_{k}", dec.layer(k).p) for k in range(1, dec.k_max + 1)]
+    _report(pairs)
     return EX_OK
 
 
-def _cmd_layers(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_layers(h: Hypergraph, args) -> int:
     dec = decompose(h)
     lines = []
     for k in range(1, dec.k_max + 1):
@@ -82,8 +87,7 @@ def _cmd_layers(args) -> int:
     return EX_OK
 
 
-def _cmd_tensor(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_tensor(h: Hypergraph, args) -> int:
     if args.layer is not None:
         if args.model is not None:
             raise _UsageError("--layer and --model are mutually exclusive")
@@ -101,8 +105,7 @@ def _cmd_tensor(args) -> int:
     return EX_OK
 
 
-def _cmd_poly(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_poly(h: Hypergraph, args) -> int:
     poly = hypergraph_polynomial(h, args.policy)
     lines = [f"poly v1 degree={poly.degree} vars={poly.var_count}"]
     for key in sorted(poly.monomials):
@@ -114,72 +117,64 @@ def _cmd_poly(args) -> int:
     return EX_OK
 
 
-def _cmd_degrees(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_degrees(h: Hypergraph, args) -> int:
     t = e_adjacency_tensor(h)
     for i, d in enumerate(vertex_degrees_from_tensor(t, h.n), start=1):
         print(f"{i} {d}")
     return EX_OK
 
 
-def _cmd_cardinalities(args) -> int:
-    h = _read_hypergraph(args.path)
-    t = e_adjacency_tensor(h)
-    cumulative, per_size = layer_counts_from_tensor(t, h.n)
-    lines = [f"cumulative_{j}={c}" for j, c in enumerate(cumulative, start=1)]
-    lines += [f"size_{j}={c}" for j, c in enumerate(per_size, start=1)]
-    print("\n".join(lines))
+def _cmd_cardinalities(h: Hypergraph, args) -> int:
+    cumulative, per_size = layer_counts_from_tensor(e_adjacency_tensor(h), h.n)
+    pairs = [(f"cumulative_{j}", c) for j, c in enumerate(cumulative, start=1)]
+    _report(pairs + [(f"size_{j}", c) for j, c in enumerate(per_size, start=1)])
     return EX_OK
 
 
-def _cmd_reconstruct(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_reconstruct(h: Hypergraph, args) -> int:
     rebuilt = reconstruct(e_adjacency_tensor(h), h.n)
-    lines = [str(rebuilt.n)]
+    print(rebuilt.n)
     for e in rebuilt.edges:
-        lines.append(" ".join(str(v) for v in sorted(e)))
-    print("\n".join(lines))
+        print(" ".join(str(v) for v in sorted(e)))
     return EX_OK
 
 
-def _cmd_dnf(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_dnf(h: Hypergraph, args) -> int:
     edges = dnf_extract(e_adjacency_tensor(h), h.n, args.size)
     for e in sorted(edges, key=sorted):
         print(" ".join(str(v) for v in sorted(e)))
     return EX_OK
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(h: None, args) -> int:
     if args.m < 1 or args.s < 1:
         raise ValueError("m and s must be positive")
     print(partitions_count(args.m, args.s))
     return EX_OK
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(h: None, args) -> int:
     print(banerjee_alpha(args.k, args.s))
     return EX_OK
 
 
-def _cmd_compare(args) -> int:
-    report = compare_tensors(_read_hypergraph(args.path))
-    pairs = []  # (name, text); ints print with str, as format_value rounds them past 2**53
+def _cmd_compare(h: Hypergraph, args) -> int:
+    report = compare_tensors(h)
+    pairs = []
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
         per_size = value.items() if isinstance(value, dict) else [(None, value)]
         for s, v in per_size:
-            name = field.name if s is None else f"{field.name[:-1]}_size_{s}"
-            pairs.append((name, format_value(v) if isinstance(v, Fraction) else str(v)))
+            pairs.append((field.name if s is None else f"{field.name[:-1]}_size_{s}", v))
     if args.format == "keyvalue":
-        print("\n".join(f"{name}={text}" for name, text in pairs))
+        _report(pairs)
         return EX_OK
     models = ("layered", "banerjee")
     table: dict[str, dict[str, str]] = {}  # metric -> {model: cell}
-    for name, text in pairs:
+    for name, value in pairs:
         model, _, metric = name.partition("_")  # an unprefixed name is shared
         row = table.setdefault(re.sub(r"_size_(\d+)$", r"[s=\1]", metric or model), {})
-        row.update(dict.fromkeys([model] if metric else models, text))
+        row.update(dict.fromkeys([model] if metric else models, _text(value)))
     rows = [["metric", *models]]
     rows += [[metric, *(row.get(m, "-") for m in models)] for metric, row in table.items()]
     widths = [max(len(row[c]) for row in rows) for c in range(3)]
@@ -188,48 +183,41 @@ def _cmd_compare(args) -> int:
     return EX_OK
 
 
-def _cmd_bound(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_bound(h: Hypergraph, args) -> int:
     report = spectral_bound(h)
-    print(f"delta={report.delta}")
-    print(f"delta_star={report.delta_star}")
-    print(f"bound={report.bound}")
+    _report([("delta", report.delta), ("delta_star", report.delta_star), ("bound", report.bound)])
     return EX_OK
 
 
-def _cmd_eig(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_eig(h: Hypergraph, args) -> int:
     pair = power_iteration(e_adjacency_tensor(h), tol=args.tol, max_iter=args.max_iter)
-    lines = [
-        f"converged={_bool(pair.converged)}",
-        f"iterations={pair.iterations}",
-        f"lambda={pair.value:.12g}",
-        f"bracket_low={pair.bracket_low:.12g}",
-        f"bracket_high={pair.bracket_high:.12g}",
-        f"bracket_width={pair.bracket_high - pair.bracket_low:.12g}",
-        f"residual={pair.residual:.12g}",
+    pairs = [
+        ("converged", pair.converged),
+        ("iterations", pair.iterations),
+        ("lambda", pair.value),
+        ("bracket_low", pair.bracket_low),
+        ("bracket_high", pair.bracket_high),
+        ("bracket_width", pair.bracket_high - pair.bracket_low),
+        ("residual", pair.residual),
     ]
-    for i, component in enumerate(pair.vector, start=1):
-        lines.append(f"x_{i}={component:.12g}")
-    print("\n".join(lines))
+    _report(pairs + [(f"x_{i}", component) for i, component in enumerate(pair.vector, start=1)])
     return EX_OK if pair.converged else EX_NO_CONVERGENCE
 
 
-def _cmd_graph_check(args) -> int:
-    h = _read_hypergraph(args.path)
+def _cmd_graph_check(h: Hypergraph, args) -> int:
     report = graph_consistency_check(h)
-    lines = [
-        f"c2={format_value(report.c2)}",
-        f"block_ok={_bool(report.block_ok)}",
-        f"graph_lambda={report.graph_value:.12g}",
-        f"layered_lambda={report.layered_value:.12g}",
-        f"graph_converged={_bool(report.graph_converged)}",
-        f"layered_converged={_bool(report.layered_converged)}",
-        f"relation_ok={_bool(report.relation_ok)}",
-        f"zero_eigenpair_ok={_bool(report.zero_eigenpair_ok)}",
+    pairs = [
+        ("c2", report.c2),
+        ("block_ok", report.block_ok),
+        ("graph_lambda", report.graph_value),
+        ("layered_lambda", report.layered_value),
+        ("graph_converged", report.graph_converged),
+        ("layered_converged", report.layered_converged),
+        ("relation_ok", report.relation_ok),
+        ("zero_eigenpair_ok", report.zero_eigenpair_ok),
     ]
-    print("\n".join(lines))
-    return EX_OK
+    _report(pairs)
+    return EX_OK if report.graph_converged and report.layered_converged else EX_NO_CONVERGENCE
 
 
 def _build_parser() -> _Parser:
@@ -298,21 +286,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        h = _read_hypergraph(args.path) if "path" in args else None
+        code = args.run(h, args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    try:
-        return args.run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except OSError as exc:
+    except BrokenPipeError:
+        # the reader stopped reading, as `| head` does; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_OK
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
 

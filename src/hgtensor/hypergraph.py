@@ -108,10 +108,7 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing header: expected a vertex count line")
-    try:
-        return Hypergraph(n, tuple(edges))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return Hypergraph(n, tuple(edges))
 
 
 def degree(h: Hypergraph, v: int) -> int:
@@ -132,6 +129,24 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
 def _check_vertex(h: Hypergraph, v: int) -> None:
     if not 1 <= v <= h.n:
         raise ValueError(f"vertex index {v} out of range [1, {h.n}]")
+
+
+def _vertex_set(h: Hypergraph, vertices: Iterable[int]) -> Edge:
+    """The given vertices as a set, checked nonempty and in range."""
+    s = frozenset(vertices)
+    if not s:
+        raise ValueError("vertex set must be nonempty")
+    for v in s:
+        _check_vertex(h, v)
+    return s
+
+
+def _uniform_size(h: Hypergraph) -> int | None:
+    """The one edge size of a uniform hypergraph; None when it has no edges."""
+    sizes = {len(e) for e in h.edges}
+    if len(sizes) > 1:
+        raise ValueError("hypergraph is not uniform")
+    return sizes.pop() if sizes else None
 
 
 def incidence_matrix(h: Hypergraph) -> Matrix:
@@ -185,19 +200,10 @@ def two_section(h: Hypergraph) -> Hypergraph:
 
 def is_k_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     """True when the given distinct vertices all lie together in some edge."""
-    s = frozenset(vertices)
-    if not s:
-        raise ValueError("vertex set must be nonempty")
-    for v in s:
-        _check_vertex(h, v)
+    s = _vertex_set(h, vertices)
     return any(s <= e for e in h.edges)
 
 
 def is_e_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     """True when the given vertex set is exactly one of the hyperedges."""
-    s = frozenset(vertices)
-    if not s:
-        raise ValueError("vertex set must be nonempty")
-    for v in s:
-        _check_vertex(h, v)
-    return s in set(h.edges)
+    return _vertex_set(h, vertices) in set(h.edges)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .hypergraph import Hypergraph
 from .layers import decompose
-from .symtensor import SymTensor, layer_tensor_degree_normalized, multiplicity_weight
+from .symtensor import SymTensor, _canonical, layer_tensor_degree_normalized, multiplicity_weight
 from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients, reconstruct
 
 Monomial = tuple[int, ...]
@@ -38,18 +38,9 @@ class HomogeneousPolynomial:
             raise ValueError("polynomial degree must be at least 1")
         if self.var_count < 0:
             raise ValueError("variable count must be nonnegative")
-        canonical: dict[Monomial, Fraction] = {}
-        for key, coefficient in self.monomials.items():
-            if len(key) != self.degree:
-                raise ValueError(f"monomial {key} does not have degree {self.degree}")
-            if any(not 1 <= i <= self.var_count for i in key):
-                raise ValueError(f"monomial {key} uses a variable outside [1, {self.var_count}]")
-            ck = tuple(sorted(key))
-            if ck in canonical:
-                raise ValueError(f"conflicting coefficients for monomial {ck}")
-            coefficient = Fraction(coefficient)
-            if coefficient != 0:
-                canonical[ck] = coefficient
+        coefficients = {key: Fraction(c) for key, c in self.monomials.items()}
+        length = f"have degree {self.degree}"
+        canonical = _canonical(coefficients, self.degree, self.var_count, "monomial", length)
         object.__setattr__(self, "monomials", canonical)
 
     def evaluate(self, xs: Sequence) -> Fraction:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .hypergraph import Hypergraph, degrees
+from .hypergraph import Hypergraph, _uniform_size, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
@@ -121,42 +122,42 @@ def format_value(v: Value) -> str:
     return f"{float(v):.12g}"
 
 
+def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, length: str) -> dict:
+    """Entries under sorted keys, zeros dropped: the rule tensors and polynomials share.
+
+    Each key needs ``order`` indices in [1, dim] and a canonical key of its own;
+    messages call it ``noun`` and say it must ``length`` ("have 3 indices").
+    """
+    canonical: dict[Key, Value] = {}
+    for key, value in entries.items():
+        if len(key) != order:
+            raise ValueError(f"{noun} {key} does not {length}")
+        if any(not 1 <= i <= dim for i in key):
+            raise ValueError(f"{noun} {key} has an index outside [1, {dim}]")
+        ck = tuple(sorted(key))
+        if ck in canonical:
+            raise ValueError(f"conflicting entries for canonical {noun} {ck}")
+        if value != 0:
+            canonical[ck] = value
+    return canonical
+
+
+@dataclass(frozen=True, slots=True)
 class SymTensor:
     """Order-m symmetric tensor over indices 1..dim, canonical sparse form."""
 
-    __slots__ = ("order", "dim", "entries")
+    order: int
+    dim: int
+    entries: dict[Key, Value]
 
-    def __init__(self, order: int, dim: int, entries: Mapping[Key, Value]):
-        if order < 1:
+    def __post_init__(self) -> None:
+        if self.order < 1:
             raise ValueError("tensor order must be at least 1")
-        if dim < 0:
+        if self.dim < 0:
             raise ValueError("tensor dimension must be nonnegative")
-        canonical: dict[Key, Value] = {}
-        for key, value in entries.items():
-            if len(key) != order:
-                raise ValueError(f"key {key} does not have {order} indices")
-            if any(not 1 <= i <= dim for i in key):
-                raise ValueError(f"key {key} has an index outside [1, {dim}]")
-            ck = tuple(sorted(key))
-            if ck in canonical:
-                raise ValueError(f"conflicting entries for canonical key {ck}")
-            if value != 0:
-                canonical[ck] = value
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
+        length = f"have {self.order} indices"
+        canonical = _canonical(self.entries, self.order, self.dim, "key", length)
         object.__setattr__(self, "entries", canonical)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("SymTensor is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"SymTensor(order={self.order}, dim={self.dim}, nnz_keys={len(self.entries)})"
@@ -232,17 +233,14 @@ class SymTensor:
 
 
 def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
-    sizes = {len(e) for e in hk.edges}
-    if len(sizes) > 1:
-        raise ValueError("hypergraph is not uniform")
-    if sizes:
-        inferred = sizes.pop()
-        if k is not None and k != inferred:
-            raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")
-        return inferred
-    if k is None:
-        raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
-    return k
+    inferred = _uniform_size(hk)
+    if inferred is None:
+        if k is None:
+            raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
+        return k
+    if k is not None and k != inferred:
+        raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")
+    return inferred
 
 
 def layer_tensor_raw(hk: Hypergraph, k: int | None = None) -> SymTensor:

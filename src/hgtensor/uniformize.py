@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hypergraph import Hypergraph, WeightedHypergraph
+from .hypergraph import Hypergraph, WeightedHypergraph, _uniform_size
 from .layers import decompose
 from .symtensor import SymTensor
 
@@ -53,19 +53,12 @@ def special_vertex_indices(n: int, k_max: int) -> tuple[int, ...]:
     return tuple(range(n + 1, n + k_max))
 
 
-def _uniform_size(hw: WeightedHypergraph) -> int | None:
-    sizes = {len(e) for e in hw.base.edges}
-    if len(sizes) > 1:
-        raise ValueError("hypergraph is not uniform")
-    return sizes.pop() if sizes else None
-
-
 def vertex_augment(hw: WeightedHypergraph, y: int) -> WeightedHypergraph:
     """Adjoin the fresh vertex y to the vertex set and to every edge.
 
     A k-uniform weighted hypergraph becomes (k+1)-uniform; weights are kept.
     """
-    _uniform_size(hw)
+    _uniform_size(hw.base)
     n = hw.base.n
     if y <= n:
         raise ValueError(f"vertex {y} is already present")
@@ -81,8 +74,8 @@ def merge(a: WeightedHypergraph, b: WeightedHypergraph) -> WeightedHypergraph:
     Each edge keeps the weight it had in its operand; the vertex set is the
     union of the operands' vertex sets.
     """
-    size_a = _uniform_size(a)
-    size_b = _uniform_size(b)
+    size_a = _uniform_size(a.base)
+    size_b = _uniform_size(b.base)
     if size_a is not None and size_b is not None and size_a != size_b:
         raise ValueError(f"cannot merge {size_a}-uniform with {size_b}-uniform")
     if set(a.base.edges) & set(b.base.edges):

@@ -463,3 +463,38 @@ class TestClosedFormProbes:
     def test_alpha_beyond_enumeration(self, capsys):
         code, out = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
         assert code == 0 and out == "14620825330739032204800\n"
+
+
+class TestUnconvergedGraphCheck:
+    """graph-check prints its whole report and exits 2 when a power iteration stalls."""
+
+    def test_path_graph_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3\n1 2\n2 3\n"))
+        code, out, err = run_cli(capsys, "graph-check", "-")
+        assert code == 2
+        assert out.startswith("c2=1\n") and "graph_converged=false\n" in out
+        assert out.endswith("zero_eigenpair_ok=true\n")
+        assert err == ""
+
+
+def test_closed_stdout_is_not_a_data_error():
+    """A reader that stops early, as `| head -1` does, ends the run quietly with exit 0.
+
+    The 300 000 degree lines are about 3 MB, more than any pipe buffer holds,
+    so the writer always meets the closed pipe.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hgtensor.cli", "degrees", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdin.write("300000\n1 2\n")
+    proc.stdin.close()
+    assert proc.stdout.readline() == "1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
