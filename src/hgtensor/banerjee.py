@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _trusted
 from .symtensor import SymTensor
 from .uniformize import e_adjacency_tensor
 
@@ -74,7 +74,7 @@ def banerjee_tensor(h: Hypergraph) -> SymTensor:
         value = values[len(members)]
         for repeats in _compositions(k, len(members)):
             entries[tuple(v for v, r in zip(members, repeats) for _ in range(r))] = value
-    return SymTensor(k, h.n, entries)
+    return _trusted(SymTensor, k, h.n, entries)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import IO, Iterable
 
@@ -20,6 +20,14 @@ def _as_edge(vertices: Iterable[int], n: int) -> Edge:
         if not 1 <= v <= n:
             raise ValueError(f"vertex index {v} out of range [1, {n}]")
     return edge
+
+
+def _trusted(cls, *values):
+    """cls(*values) without __post_init__: only for values canonical by construction."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,9 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing header: expected a vertex count line")
-    return Hypergraph(n, tuple(edges))
+    if len(set(edges)) != len(edges):
+        raise ValueError("duplicate hyperedge in edge family")
+    return _trusted(Hypergraph, n, tuple(edges))
 
 
 def degree(h: Hypergraph, v: int) -> int:
@@ -195,7 +205,7 @@ def two_section(h: Hypergraph) -> Hypergraph:
             for v in members[i + 1 :]:
                 pairs.add(frozenset((u, v)))
     ordered = sorted(pairs, key=sorted)
-    return Hypergraph(h.n, tuple(ordered))
+    return _trusted(Hypergraph, h.n, tuple(ordered))
 
 
 def is_k_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:

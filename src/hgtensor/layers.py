@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _trusted
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def decompose(h: Hypergraph) -> LayerDecomposition:
     grouped: list[list] = [[] for _ in range(k_max)]
     for e in h.edges:
         grouped[len(e) - 1].append(e)
-    layers = tuple(Hypergraph(h.n, tuple(g)) for g in grouped)
+    layers = tuple(_trusted(Hypergraph, h.n, tuple(g)) for g in grouped)
     return LayerDecomposition(h, k_max, layers)
 
 
@@ -55,4 +55,4 @@ def direct_sum(parts: Sequence[Hypergraph]) -> Hypergraph:
         edges.extend(part.edges)
     if len(set(edges)) != len(edges):
         raise ValueError("edge families must be pairwise disjoint")
-    return Hypergraph(n, tuple(edges))
+    return _trusted(Hypergraph, n, tuple(edges))

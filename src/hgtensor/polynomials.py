@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _trusted
 from .layers import decompose
 from .symtensor import SymTensor, _canonical, layer_tensor_degree_normalized, multiplicity_weight
 from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients, reconstruct
@@ -64,8 +64,8 @@ class HomogeneousPolynomial:
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
     """The polynomial whose coefficient on each key is value * orbit size."""
-    monomials = {key: value * multiplicity_weight(key) for key, value in t.entries.items()}
-    return HomogeneousPolynomial(t.order, t.dim, monomials)
+    monomials = {key: Fraction(v * multiplicity_weight(key)) for key, v in t.entries.items()}
+    return _trusted(HomogeneousPolynomial, t.order, t.dim, monomials)
 
 
 def tensor_from_poly(p: HomogeneousPolynomial) -> SymTensor:
@@ -79,7 +79,7 @@ def tensor_from_poly(p: HomogeneousPolynomial) -> SymTensor:
         if len(set(key)) != len(key):
             raise ValueError(f"monomial {key} repeats a variable; cannot form a sparse key")
         entries[key] = coefficient / multiplicity_weight(key)
-    return SymTensor(p.degree, p.var_count, entries)
+    return _trusted(SymTensor, p.degree, p.var_count, entries)
 
 
 def homogenize_step(
@@ -111,7 +111,7 @@ def homogenize_step(
     }
     for key, coefficient in p_next.monomials.items():
         monomials[key] = c_next * coefficient
-    return HomogeneousPolynomial(r.degree + 1, r.var_count + 1, monomials)
+    return _trusted(HomogeneousPolynomial, r.degree + 1, r.var_count + 1, monomials)
 
 
 def hypergraph_polynomial(

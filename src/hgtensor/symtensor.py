@@ -132,6 +132,8 @@ def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, le
     for key, value in entries.items():
         if len(key) != order:
             raise ValueError(f"{noun} {key} does not {length}")
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in key):
+            raise ValueError(f"{noun} {key} has a non-integer index")
         if any(not 1 <= i <= dim for i in key):
             raise ValueError(f"{noun} {key} has an index outside [1, {dim}]")
         ck = tuple(sorted(key))

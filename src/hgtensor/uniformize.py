@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hypergraph import Hypergraph, WeightedHypergraph, _uniform_size
+from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size
 from .layers import decompose
 from .symtensor import SymTensor
 
@@ -83,7 +83,7 @@ def merge(a: WeightedHypergraph, b: WeightedHypergraph) -> WeightedHypergraph:
     n = max(a.base.n, b.base.n)
     edges = a.base.edges + b.base.edges
     weights = a.weights + b.weights
-    return WeightedHypergraph(Hypergraph(n, edges), weights)
+    return WeightedHypergraph(_trusted(Hypergraph, n, edges), weights)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
     for e in h.edges:
         key = tuple(sorted(e)) + tuple(range(h.n + len(e), h.n + k))
         entries[key] = value
-    return SymTensor(k, h.n + k - 1, entries)
+    return _trusted(SymTensor, k, h.n + k - 1, entries)
 
 
 def _as_int(value, what: str) -> int:
@@ -168,7 +168,9 @@ def _as_int(value, what: str) -> int:
 
 
 def _layered_order(t: SymTensor, n: int) -> int:
-    """The order k of t, after checking that t has the layered shape dim = n + k - 1."""
+    """The order k of t, after checking that t has the layered shape dim = n + k - 1, n >= 0."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     k = t.order
     if t.dim != n + k - 1:
         raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")
@@ -207,9 +209,9 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
 def reconstruct(t: SymTensor, n: int) -> Hypergraph:
     """Invert e_adjacency_tensor: drop the padding suffix from every key.
 
-    Each canonical key must consist of distinct indices whose part above n
-    is exactly the suffix {n+s, ..., n+k_max-1} for s the size of the part
-    at or below n; anything else is rejected.
+    Each canonical key must consist of distinct indices, so at most k_max - 1
+    lie above n and the part at or below n is an edge of some size s >= 1; the
+    part above n must be exactly the suffix {n+s, ..., n+k_max-1}.
     """
     k = _layered_order(t, n)
     edges = []
@@ -218,12 +220,10 @@ def reconstruct(t: SymTensor, n: int) -> Hypergraph:
             raise ValueError(f"key {key} repeats an index")
         original = tuple(i for i in key if i <= n)
         padding = tuple(i for i in key if i > n)
-        if not original:
-            raise ValueError(f"key {key} has no original vertices")
         expected = tuple(range(n + len(original), n + k))
         if padding != expected:
             raise ValueError(
                 f"key {key} has padding {padding}, expected {expected}"
             )
         edges.append(frozenset(original))
-    return Hypergraph(n, tuple(edges))
+    return _trusted(Hypergraph, n, tuple(edges))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,9 @@ DATA = Path(__file__).resolve().parent / "data"
 SAMPLE = str(DATA / "sample.hg")
 K3 = str(DATA / "k3.hg")
 TWO_BLOCKS = str(DATA / "two_blocks.hg")
+# a child python finds the package in ./src without an install, as pytest itself does
+SRC_PATH = os.pathsep.join(filter(None, [str(DATA.parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+CHILD_ENV = {**os.environ, "PYTHONPATH": SRC_PATH}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -398,6 +402,7 @@ class TestErrorHandling:
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "hgtensor.cli", "info", K3],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -485,6 +490,7 @@ def test_closed_stdout_is_not_a_data_error():
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "hgtensor.cli", "degrees", "-"],
+        env=CHILD_ENV,
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

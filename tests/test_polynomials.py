@@ -37,6 +37,11 @@ class TestHomogeneousPolynomial:
         with pytest.raises(ValueError, match="conflicting"):
             HomogeneousPolynomial(2, 3, {(1, 3): Fraction(1), (3, 1): Fraction(1)})
 
+    @pytest.mark.parametrize("key", [(True, 2), (1.5, 2), (2, "3")])
+    def test_non_integer_index_rejected(self, key):
+        with pytest.raises(ValueError, match=r"^monomial .* has a non-integer index$"):
+            HomogeneousPolynomial(2, 3, {key: 1})
+
     def test_evaluate(self):
         p = HomogeneousPolynomial(2, 2, {(1, 2): Fraction(3), (2, 2): Fraction(1, 2)})
         assert p.evaluate([Fraction(2), Fraction(4)]) == 3 * 2 * 4 + Fraction(1, 2) * 16

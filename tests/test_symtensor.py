@@ -83,6 +83,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="order"):
             SymTensor(0, 3, {})
 
+    @pytest.mark.parametrize("key", [(1.5, 2), (True, 2), (2, "3"), (2.0, 3)])
+    def test_non_integer_index_rejected(self, key):
+        with pytest.raises(ValueError, match=r"has a non-integer index"):
+            SymTensor(2, 3, {key: Fraction(1)})
+
     def test_immutable(self, sample_tensor):
         with pytest.raises(AttributeError):
             sample_tensor.dim = 5

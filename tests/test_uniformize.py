@@ -275,3 +275,8 @@ class TestReconstruct:
     def test_dim_mismatch_rejected(self, sample):
         with pytest.raises(ValueError, match="does not match"):
             reconstruct(e_adjacency_tensor(sample), 6)
+
+    @pytest.mark.parametrize("read", [reconstruct, layer_counts_from_tensor])
+    def test_negative_vertex_count_rejected(self, read):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            read(SymTensor(3, 0, {}), -2)
