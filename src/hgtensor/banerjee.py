@@ -14,11 +14,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .hypergraph import Hypergraph, _trusted
 from .symtensor import SymTensor
 from .uniformize import e_adjacency_tensor
+
+KEY_CAP = 10**6
 
 
 def partitions_count(m: int, s: int) -> int:
@@ -39,13 +40,6 @@ def partitions_count(m: int, s: int) -> int:
     return ways[rest]
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered sequences of ``parts`` positive integers summing to ``total``."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
 def banerjee_alpha(k_max: int, s: int) -> int:
     """Positions an s-vertex edge occupies in an order-k_max tensor.
 
@@ -60,20 +54,24 @@ def banerjee_alpha(k_max: int, s: int) -> int:
 def banerjee_tensor(h: Hypergraph) -> SymTensor:
     """Order-k_max tensor over the original n vertices only.
 
-    Each edge of size s holds value s/alpha(k_max, s) at every canonical key
-    using all of its vertices; distinct edges cannot share a key since the
-    key's support identifies the edge.
+    An s-edge holds value s/alpha(k_max, s) at its C(k_max - 1, s - 1) keys:
+    its s vertices plus a multiset of k_max - s more drawn from the edge.  A
+    key's support identifies its edge, so edges never share a key.  Builds of
+    more than KEY_CAP keys, about 190 MB at k_max = 12, are refused up front.
     """
     if h.p == 0:
         raise ValueError("cannot build a tensor for a hypergraph with no edges")
     k = h.k_max
+    keys = sum(math.comb(k - 1, len(e) - 1) for e in h.edges)
+    if keys > KEY_CAP:
+        raise ValueError(f"the banerjee tensor needs {keys} keys, above the cap of {KEY_CAP}")
     values = {s: Fraction(s, banerjee_alpha(k, s)) for s in {len(e) for e in h.edges}}
     entries: dict[tuple[int, ...], Fraction] = {}
     for e in h.edges:
-        members = sorted(e)
+        members = tuple(sorted(e))
         value = values[len(members)]
-        for repeats in _compositions(k, len(members)):
-            entries[tuple(v for v, r in zip(members, repeats) for _ in range(r))] = value
+        for extra in itertools.combinations_with_replacement(members, k - len(members)):
+            entries[tuple(sorted(members + extra))] = value
     return _trusted(SymTensor, k, h.n, entries)
 
 

@@ -36,15 +36,15 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
 
 def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | float], ...]:
     """Per-index (center, radius): the diagonal entry and its off-diagonal slice mass."""
-    diagonal = {}
+    centers = [Fraction(0)] * t.dim
     off_diagonal = []
     for key, value in t.entries.items():
         if key[0] == key[-1]:  # a sorted key with equal ends repeats one index
-            diagonal[key[0]] = value
+            centers[key[0] - 1] = value
         else:
             off_diagonal.append((key, abs(value)))
     radii = _contract(off_diagonal, t.order, t.dim)
-    return tuple((diagonal.get(i, Fraction(0)), radii[i - 1]) for i in range(1, t.dim + 1))
+    return tuple(zip(centers, radii))
 
 
 @dataclass(frozen=True)

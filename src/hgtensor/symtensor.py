@@ -110,7 +110,8 @@ def _contract(
     terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
     sums = _fold(terms, [0, *(c.numerator * (x_den // c.denominator) for c in x)], 0)
     scale = value_den * x_den ** (order - 1)
-    return [Fraction(s, scale) for s in sums[1:]]
+    zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
+    return [Fraction(s, scale) if s else zero for s in sums[1:]]
 
 
 def format_value(v: Value) -> str:

@@ -195,7 +195,7 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     k = _layered_order(t, n)
     sums = t.slice_sums()
     cumulative = [_as_int(sums[n + i - 1], f"slice sum {n + i}") for i in range(1, k)]
-    cumulative.append(_as_int(Fraction(sum(sums)) / k, "total_sum / order"))
+    cumulative.append(_as_int(Fraction(sum(s for s in sums if s)) / k, "total_sum / order"))
     per_size = []
     previous = 0
     for j, c in enumerate(cumulative, start=1):

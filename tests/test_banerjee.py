@@ -10,6 +10,7 @@ import pytest
 
 from hgtensor import (
     Hypergraph,
+    banerjee,
     banerjee_alpha,
     banerjee_tensor,
     compare_tensors,
@@ -123,6 +124,24 @@ class TestBanerjeeTensor:
         }
         assert t.nnz_positions() == 32
 
+    def test_keys_match_brute_force_positions(self):
+        # every order-k position over the edge's vertices that uses them all, sorted
+        rng = random.Random(604)
+        for _ in range(60):
+            h = random_hypergraph(rng, max_n=7, max_k=4)
+            k = h.k_max
+            t = banerjee_tensor(h)
+            expected = {
+                tuple(sorted(p))
+                for e in h.edges
+                for p in itertools.product(sorted(e), repeat=k)
+                if set(p) == e
+            }
+            assert set(t.entries) == expected
+            for key, value in t.entries.items():
+                s = len(set(key))
+                assert value == Fraction(s, banerjee_alpha(k, s))
+
     def test_singleton_edge_sits_on_the_diagonal(self):
         h = Hypergraph(3, (frozenset({1}), frozenset({2, 3})))
         t = banerjee_tensor(h)
@@ -145,6 +164,17 @@ class TestBanerjeeTensor:
     def test_rejects_edgeless(self):
         with pytest.raises(ValueError, match="no edges"):
             banerjee_tensor(Hypergraph(3))
+
+    def test_key_cap_is_checked_before_building(self, sample, monkeypatch):
+        # the sample's 10 keys: C(2, 0) per 1-edge, C(2, 1) per 2-edge, C(2, 2) per 3-edge
+        monkeypatch.setattr(banerjee, "KEY_CAP", 10)
+        assert len(banerjee_tensor(sample).entries) == 10
+        monkeypatch.setattr(banerjee, "KEY_CAP", 9)
+        message = "^the banerjee tensor needs 10 keys, above the cap of 9$"
+        with pytest.raises(ValueError, match=message):
+            banerjee_tensor(sample)
+        with pytest.raises(ValueError, match=message):
+            compare_tensors(sample)
 
 
 class TestComparison:

@@ -419,12 +419,23 @@ GOLDEN_COMMANDS = (
     "cardinalities",
     "compare",
     "compare --format text",
+    "tensor",
+    "tensor --model banerjee",
+    "poly",
+    "poly --policy unit",
+    "info",
+    "layers",
+    "reconstruct",
+    "dnf --size 1",
+    "dnf --size 2",
+    "dnf --size 3",
 )
 
 
 class TestGoldenOutput:
-    """Commands that read slice sums, contract the tensor or compare the two
-    models keep their exact output (k12.hg has total element counts above 2**53)."""
+    """Every path command keeps its exact output: slice sums, contractions, the
+    two models' COO texts and their comparison, polynomials, layers and
+    reconstruction (k12.hg has total element counts above 2**53)."""
 
     def test_every_input_has_every_command(self):
         expected = {f"{c} {p.name}" for c in GOLDEN_COMMANDS for p in DATA.glob("*.hg")}
@@ -452,22 +463,39 @@ def partition_numbers(limit: int) -> list[int]:
 
 
 class TestClosedFormProbes:
-    """Inputs whose counts are far too large to enumerate answer at once."""
+    """Inputs far too large to enumerate are answered, or refused, within a time budget."""
 
-    def run_timed(self, capsys, *argv: str) -> tuple[int, str]:
+    def run_timed(self, capsys, *argv: str, budget: float = 1.0) -> tuple[int, str, str]:
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, *argv)
-        assert time.perf_counter() - start < 1.0
-        return code, out
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < budget
+        return code, out, err
 
     def test_partitions_of_a_large_m(self, capsys):
         # Partitions of 3000 into 1500 parts are the partitions of 1500.
-        code, out = self.run_timed(capsys, "partitions", "--m", "3000", "--s", "1500")
+        code, out, _ = self.run_timed(capsys, "partitions", "--m", "3000", "--s", "1500")
         assert code == 0 and out == f"{partition_numbers(1500)[1500]}\n"
 
     def test_alpha_beyond_enumeration(self, capsys):
-        code, out = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
+        code, out, _ = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
         assert code == 0 and out == "14620825330739032204800\n"
+
+    @pytest.mark.parametrize("command", ["tensor --model banerjee", "compare"])
+    def test_oversized_banerjee_build_is_refused(self, capsys, monkeypatch, command):
+        # C(29, 29) + C(29, 14) keys, tens of GB if built
+        edges = [range(1, 31), range(1, 16)]
+        text = "30\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = self.run_timed(capsys, *command.split(), "-")
+        assert (code, out) == (1, "")
+        assert err == "error: the banerjee tensor needs 77558761 keys, above the cap of 1000000\n"
+
+    def test_cardinalities_of_a_wide_sparse_input(self, capsys, monkeypatch):
+        # one edge among 3 000 000 vertices: the slice sums are almost all zero
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3000000\n1 2\n"))
+        code, out, _ = self.run_timed(capsys, "cardinalities", "-", budget=5.0)
+        assert code == 0
+        assert out == "cumulative_1=0\ncumulative_2=1\nsize_1=0\nsize_2=1\n"
 
 
 class TestUnconvergedGraphCheck:

@@ -1,0 +1,56 @@
+"""Error branches no other test reaches, each with its message word for word."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from hgtensor import (
+    HomogeneousPolynomial,
+    Hypergraph,
+    SymTensor,
+    dnf_extract,
+    special_vertex_indices,
+    vertex_degrees_from_tensor,
+)
+
+TRIANGLE = SymTensor(2, 3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+
+CASES = {
+    "float vertex": (lambda: Hypergraph(3, ((1.5,),)), "vertex index must be an integer, got 1.5"),
+    "bool vertex": (lambda: Hypergraph(3, ((True,),)), "vertex index must be an integer, got True"),
+    "negative variable count": (
+        lambda: HomogeneousPolynomial(2, -1),
+        "variable count must be nonnegative",
+    ),
+    "dnf on a repeated index": (
+        lambda: dnf_extract(SymTensor(2, 2, {(1, 1): 1}), 1, 1),
+        "key (1, 1) repeats an index",
+    ),
+    "negative tensor dim": (lambda: SymTensor(2, -1, {}), "tensor dimension must be nonnegative"),
+    "slice sum at 0": (lambda: TRIANGLE.slice_sum(0), "index 0 outside [1, 3]"),
+    "negative special-vertex n": (
+        lambda: special_vertex_indices(-1, 2),
+        "need n >= 0 and k_max >= 1",
+    ),
+    "degrees below 0": (
+        lambda: vertex_degrees_from_tensor(TRIANGLE, -1),
+        "original vertex count -1 outside [0, 3]",
+    ),
+    "degrees above dim": (
+        lambda: vertex_degrees_from_tensor(TRIANGLE, 4),
+        "original vertex count 4 outside [0, 3]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_message(case):
+    call, message = CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_symtensor_repr():
+    assert repr(TRIANGLE) == "SymTensor(order=2, dim=3, nnz_keys=3)"
