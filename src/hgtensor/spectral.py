@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
-from .hypergraph import Hypergraph, degrees
-from .symtensor import SymTensor, _contract, _float_contract, _float_terms, layer_tensor_raw
+from .hypergraph import Hypergraph
+from .symtensor import SymTensor, _float_contract, _float_terms, _slice_list, layer_tensor_raw
 from .uniformize import e_adjacency_tensor
 
 
@@ -43,8 +45,7 @@ def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | f
             centers[key[0] - 1] = value
         else:
             off_diagonal.append((key, abs(value)))
-    radii = _contract(off_diagonal, t.order, t.dim)
-    return tuple(zip(centers, radii))
+    return tuple(zip(centers, _slice_list(off_diagonal, t.order, t.dim)))
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,16 @@ class BoundReport:
     disks: tuple[tuple[Fraction | float, Fraction | float], ...]
 
 
+def _degree_bound(h: Hypergraph) -> tuple[int, int, int]:
+    """(Delta, Delta*, max of the two), counted from the edges alone."""
+    if h.p == 0:
+        raise ValueError("the bound needs at least one edge")
+    delta = max(Counter(chain.from_iterable(h.edges)).values())
+    k = h.k_max
+    delta_star = sum(1 for e in h.edges if len(e) < k)
+    return delta, delta_star, max(delta, delta_star)
+
+
 def spectral_bound(h: Hypergraph) -> BoundReport:
     """max(Delta, Delta*) for the layered tensor of h.
 
@@ -65,17 +76,8 @@ def spectral_bound(h: Hypergraph) -> BoundReport:
     the count of edges smaller than k_max.  Every disk radius is one of these
     degrees, so the bound dominates all Gershgorin disks.
     """
-    if h.p == 0:
-        raise ValueError("the bound needs at least one edge")
-    delta = max(degrees(h), default=0)
-    k = h.k_max
-    delta_star = sum(1 for e in h.edges if len(e) < k)
-    return BoundReport(
-        delta=delta,
-        delta_star=delta_star,
-        bound=max(delta, delta_star),
-        disks=gershgorin_disks(e_adjacency_tensor(h)),
-    )
+    delta, delta_star, bound = _degree_bound(h)
+    return BoundReport(delta, delta_star, bound, gershgorin_disks(e_adjacency_tensor(h)))
 
 
 @dataclass(frozen=True)

@@ -85,23 +85,17 @@ def _float_contract(terms: list[tuple[int, float, Key]], x: Sequence) -> list[fl
     return _fold(terms, [0.0, *map(float, x)], 0.0)[1:]
 
 
-def _contract(
-    items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Sequence | None = None
-) -> list:
+def _contract(items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Sequence) -> list:
     """Per-index sums of value * arrangements * prod(x[rest]) over the walk of ``items``.
 
     Exact (Fractions) when every value and every x component is rational;
-    otherwise in floats, adding terms in the order of ``items``.  x = None
-    stands for the all-ones vector, which turns the sums into slice sums.
-    At order 1 every rest is empty, so x takes no part.
+    otherwise in floats, adding terms in the order of ``items``.  At order 1
+    every rest is empty, so x takes no part.
     """
     items = list(items)
-    if x is None or order == 1:
+    if order == 1:
         x = [1] * dim
-    rational = (int, Fraction)
-    if not all(isinstance(v, rational) for _, v in items) or not all(
-        isinstance(c, rational) for c in x
-    ):
+    if not _rational(v for _, v in items) or not _rational(x):
         return _float_contract(_float_terms(items), x)
     # over common denominators the fold adds Python integers; one Fraction per index at the end
     value_den = math.lcm(*(v.denominator for _, v in items))
@@ -112,6 +106,60 @@ def _contract(
     scale = value_den * x_den ** (order - 1)
     zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
     return [Fraction(s, scale) if s else zero for s in sums[1:]]
+
+
+def _rational(values: Iterable) -> bool:
+    """Whether every value is exact (int or Fraction), so sums can stay exact."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _slice_numerators(
+    items: Iterable[tuple[Key, Value]], order: int
+) -> tuple[dict[int, Value], int | None]:
+    """Slice sums at the indices the keys touch: ({index: numerator}, denominator).
+
+    Slice sum i is the sum of value * w(key)·c_i/m over the canonical keys
+    holding i, where c_i counts i in the key; a key of m distinct indices
+    gives each of them value * (m-1)!.  Rational values are added as Python
+    integers over one common denominator.  With any float value the map holds
+    the float sums themselves and the denominator is None; they add the
+    ``_float_terms`` of ``items`` in order, as the contraction does.
+    """
+    items = list(items)
+    sums: dict[int, Value] = {}
+    get = sums.get
+    if not _rational(v for _, v in items):
+        for i, coefficient, _ in _float_terms(items):
+            sums[i] = get(i, 0.0) + coefficient
+        return sums, None
+    den = math.lcm(*(v.denominator for _, v in items))
+    distinct = math.factorial(order - 1)
+    for key, value in items:
+        v = value.numerator * (den // value.denominator)
+        if len(set(key)) == order:
+            v *= distinct
+            for i in key:
+                sums[i] = get(i, 0) + v
+            continue
+        weight = multiplicity_weight(key)
+        for i in set(key):
+            sums[i] = get(i, 0) + v * (weight * key.count(i) // order)
+    return sums, den
+
+
+def _quotient(numerator: Value, den: int | None) -> Value:
+    """One slice sum as a value, from the map ``_slice_numerators`` returns."""
+    return numerator if den is None else Fraction(numerator, den)
+
+
+def _slice_list(items: Iterable[tuple[Key, Value]], order: int, dim: int) -> list:
+    """Slice sums 1..dim as a list; untouched indices share one zero."""
+    sums, den = _slice_numerators(items, order)
+    out = [Fraction(0) if den is not None else 0.0] * dim
+    for i, s in sums.items():
+        if s:
+            out[i - 1] = _quotient(s, den)
+    return out
 
 
 def format_value(v: Value) -> str:
@@ -185,7 +233,7 @@ class SymTensor:
 
     def slice_sums(self) -> list:
         """Every slice sum, indices 1..dim, in one pass over the keys."""
-        return _contract(self.entries.items(), self.order, self.dim)
+        return _slice_list(self.entries.items(), self.order, self.dim)
 
     def slice_sum(self, i: int):
         """Sum of all dense entries whose first index is i.
@@ -195,7 +243,8 @@ class SymTensor:
         if not 1 <= i <= self.dim:
             raise ValueError(f"index {i} outside [1, {self.dim}]")
         touching = [(key, value) for key, value in self.entries.items() if i in key]
-        return _contract(touching, self.order, self.dim)[i - 1]
+        sums, den = _slice_numerators(touching, self.order)
+        return _quotient(sums[i], den) if i in sums else Fraction(0)
 
     def total_sum(self):
         """Sum of every dense entry."""
@@ -229,10 +278,13 @@ class SymTensor:
 
     def to_coo(self) -> str:
         """COO text: header then one line per canonical key, lexicographic."""
-        lines = [f"symtensor v1 order={self.order} dim={self.dim}"]
+        return "".join(self._coo_lines())
+
+    def _coo_lines(self) -> Iterator[str]:
+        """The lines of ``to_coo``, each ending in a newline, made one at a time."""
+        yield f"symtensor v1 order={self.order} dim={self.dim}\n"
         for key, value in self.canonical_items():
-            lines.append(" ".join(str(i) for i in key) + " " + format_value(value))
-        return "\n".join(lines) + "\n"
+            yield f"{' '.join(map(str, key))} {format_value(value)}\n"
 
 
 def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:

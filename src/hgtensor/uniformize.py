@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size
 from .layers import decompose
-from .symtensor import SymTensor
+from .symtensor import SymTensor, _quotient, _slice_numerators
 
 CoefficientPolicy = str | Sequence[Fraction]
 
@@ -160,11 +160,11 @@ def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
     return _trusted(SymTensor, k, h.n + k - 1, entries)
 
 
-def _as_int(value, what: str) -> int:
-    as_fraction = Fraction(value)
-    if as_fraction.denominator != 1 or as_fraction < 0:
-        raise ValueError(f"{what} is {value}, not a nonnegative integer")
-    return int(as_fraction)
+def _as_int(numerator, den: int | None, what: str) -> int:
+    """A slice sum from ``_slice_numerators`` as a nonnegative int, or the error naming it."""
+    if numerator < 0 or numerator % (den or 1):
+        raise ValueError(f"{what} is {_quotient(numerator, den)}, not a nonnegative integer")
+    return int(numerator) // (den or 1)
 
 
 def _layered_order(t: SymTensor, n: int) -> int:
@@ -181,8 +181,11 @@ def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
     """Original vertex degrees, read as the first n slice sums."""
     if not 0 <= n <= t.dim:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
-    sums = t.slice_sums()
-    return tuple(_as_int(sums[i - 1], f"slice sum {i}") for i in range(1, n + 1))
+    sums, den = _slice_numerators(t.entries.items(), t.order)
+    result = [0] * n
+    for i in sorted(i for i in sums if i <= n):  # in index order, so the first bad sum is named
+        result[i - 1] = _as_int(sums[i], den, f"slice sum {i}")
+    return tuple(result)
 
 
 def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -193,9 +196,11 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     the edge count: no slice carries it, so it is the slice sums' total / k_max.
     """
     k = _layered_order(t, n)
-    sums = t.slice_sums()
-    cumulative = [_as_int(sums[n + i - 1], f"slice sum {n + i}") for i in range(1, k)]
-    cumulative.append(_as_int(Fraction(sum(s for s in sums if s)) / k, "total_sum / order"))
+    sums, den = _slice_numerators(t.entries.items(), k)
+    cumulative = [_as_int(sums.get(i, 0), den, f"slice sum {i}") for i in range(n + 1, n + k)]
+    # float sums add in index order, as a list of every slice sum would
+    total = Fraction(sum(s for _, s in sorted(sums.items()))) / (den or 1)
+    cumulative.append(_as_int(total.numerator, total.denominator * k, "total_sum / order"))
     per_size = []
     previous = 0
     for j, c in enumerate(cumulative, start=1):

@@ -491,11 +491,18 @@ class TestClosedFormProbes:
         assert err == "error: the banerjee tensor needs 77558761 keys, above the cap of 1000000\n"
 
     def test_cardinalities_of_a_wide_sparse_input(self, capsys, monkeypatch):
-        # one edge among 3 000 000 vertices: the slice sums are almost all zero
-        monkeypatch.setattr(sys, "stdin", io.StringIO("3000000\n1 2\n"))
-        code, out, _ = self.run_timed(capsys, "cardinalities", "-", budget=5.0)
+        # one edge among 300 000 000 vertices: only the touched slices are summed
+        monkeypatch.setattr(sys, "stdin", io.StringIO("300000000\n1 2\n"))
+        code, out, _ = self.run_timed(capsys, "cardinalities", "-")
         assert code == 0
         assert out == "cumulative_1=0\ncumulative_2=1\nsize_1=0\nsize_2=1\n"
+
+    def test_bound_of_a_wide_sparse_input(self, capsys, monkeypatch):
+        # the three degree numbers come from the edges; no tensor or disk is built
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3000000\n1 2\n"))
+        code, out, _ = self.run_timed(capsys, "bound", "-")
+        assert code == 0
+        assert out == "delta=1\ndelta_star=0\nbound=1\n"
 
 
 class TestUnconvergedGraphCheck:

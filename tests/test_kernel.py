@@ -1,17 +1,19 @@
-"""The one leave-one-out kernel against the per-index loops it replaced.
+"""The slice-sum and contraction kernels against the per-index loops they replaced.
 
 ``reference_slice_sum``, ``reference_apply`` and ``reference_gershgorin``
 are the original hand-written loops, kept verbatim (with ``self`` renamed to
 ``t``) as the reference.  Exact results must be equal; float results must be
-equal bit for bit, since the kernel adds the same terms in the same order.
+equal bit for bit, since the kernels add the same terms in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,9 @@ from hgtensor import (
     e_adjacency_tensor,
     gershgorin_disks,
     laplacian,
+    layer_counts_from_tensor,
     layer_tensor_eigen_normalized,
+    vertex_degrees_from_tensor,
 )
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -178,3 +182,96 @@ def test_float_apply_is_bit_identical(data):
     assert applied == reference_apply(t, x)
     if t.order > 1:
         assert all(type(v) is float for v in applied)
+
+
+def _reference_int(value, what: str) -> int:
+    """A reference slice sum as an int, raising the message the integer readers give."""
+    if value.denominator != 1 or value < 0:
+        raise ValueError(f"{what} is {value}, not a nonnegative integer")
+    return int(value)
+
+
+def reference_degrees(t: SymTensor, n: int) -> tuple[int, ...]:
+    sums = (reference_slice_sum(t, i) for i in range(1, n + 1))
+    return tuple(_reference_int(s, f"slice sum {i}") for i, s in enumerate(sums, start=1))
+
+
+def reference_layer_counts(t: SymTensor, n: int):
+    k = t.order
+    sums = [reference_slice_sum(t, i) for i in range(1, t.dim + 1)]
+    cumulative = [_reference_int(sums[i - 1], f"slice sum {i}") for i in range(n + 1, n + k)]
+    cumulative.append(_reference_int(sum(sums) / k, "total_sum / order"))
+    for j in range(1, k):
+        if cumulative[j] < cumulative[j - 1]:
+            raise ValueError(f"cumulative counts decrease at cardinality {j + 1}")
+    return tuple(cumulative), tuple(b - a for a, b in zip([0, *cumulative], cumulative))
+
+
+def outcome(read, t: SymTensor, n: int):
+    """The reader's result, or the message of the ValueError it raised."""
+    try:
+        return read(t, n)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def layered_shape_tensors(draw):
+    """Rational tensors of dim n + order - 1, whose slice sums may be fractional or negative."""
+    order = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    dim = n + order - 1
+    shared = Fraction(1, math.factorial(order - 1))
+    values = st.sampled_from([shared, 2 * shared, Fraction(1)]) | rationals
+    keys = draw(st.lists(st.lists(st.integers(1, dim), min_size=order, max_size=order), max_size=6))
+    entries = {tuple(sorted(key)): draw(values) for key in keys}
+    return SymTensor(order, dim, entries), n
+
+
+@KERNEL
+@given(st.data())
+def test_integer_readers_on_mixed_hypergraphs(data):
+    h = data.draw(hypergraphs())
+    t = e_adjacency_tensor(h)
+    degrees = vertex_degrees_from_tensor(t, h.n)
+    assert degrees == reference_degrees(t, h.n)
+    assert all(type(d) is int for d in degrees)
+    cumulative, per_size = layer_counts_from_tensor(t, h.n)
+    assert (cumulative, per_size) == reference_layer_counts(t, h.n)
+    assert cumulative[-1] == h.p and all(type(c) is int for c in cumulative + per_size)
+
+
+@KERNEL
+@given(layered_shape_tensors())
+def test_integer_readers_raise_the_reference_messages(case):
+    t, n = case
+    for read, reference in (
+        (vertex_degrees_from_tensor, reference_degrees),
+        (layer_counts_from_tensor, reference_layer_counts),
+    ):
+        assert outcome(read, t, n) == outcome(reference, t, n)
+
+
+@pytest.mark.parametrize(
+    "read, entries, n, message",
+    [
+        (vertex_degrees_from_tensor, {(1, 3): Fraction(1, 2), (2, 2): Fraction(-1)}, 3, "slice sum 1 is 1/2"),
+        (vertex_degrees_from_tensor, {(2, 2): Fraction(-1), (1, 4): Fraction(1)}, 3, "slice sum 2 is -1"),
+        (layer_counts_from_tensor, {(1, 2): Fraction(1, 3)}, 2, "total_sum / order is 1/3"),
+    ],
+)
+def test_integer_reader_messages_name_the_first_bad_slice(read, entries, n, message):
+    t = SymTensor(2, n + 1, entries)
+    assert outcome(read, t, n) == f"error: {message}, not a nonnegative integer"
+
+
+def test_slice_sum_reads_one_index_of_a_huge_dim():
+    t = SymTensor(3, 10**7, {(2, 5, 10**7): Fraction(1, 2)})
+    tracemalloc.start()
+    try:
+        assert t.slice_sum(10**7) == 1
+        assert t.slice_sum(3) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # a dim-long list would take 80 MB
