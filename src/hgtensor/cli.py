@@ -61,6 +61,15 @@ def _text(value) -> str:
     return str(value) if isinstance(value, int) else format_value(value)
 
 
+def _write_lines(lines) -> None:
+    """Write an iterator of lines that end in newlines, joined a few thousand at a time.
+
+    One write per line costs more than the join.
+    """
+    while chunk := "".join(itertools.islice(lines, 4096)):
+        sys.stdout.write(chunk)
+
+
 def _report(pairs) -> None:
     """Print one name=value line per (name, value) pair."""
     print("\n".join(f"{name}={_text(value)}" for name, value in pairs))
@@ -102,10 +111,7 @@ def _cmd_tensor(h: Hypergraph, args) -> int:
     else:
         model = args.model or "layered"
         t = e_adjacency_tensor(h) if model == "layered" else banerjee_tensor(h)
-    lines = t._coo_lines()
-    # joined a few thousand at a time: one write per line costs more than the join
-    while chunk := "".join(itertools.islice(lines, 4096)):
-        sys.stdout.write(chunk)
+    _write_lines(t._coo_lines())
     return EX_OK
 
 
@@ -122,9 +128,8 @@ def _cmd_poly(h: Hypergraph, args) -> int:
 
 
 def _cmd_degrees(h: Hypergraph, args) -> int:
-    t = e_adjacency_tensor(h)
-    for i, d in enumerate(vertex_degrees_from_tensor(t, h.n), start=1):
-        print(f"{i} {d}")
+    degrees = vertex_degrees_from_tensor(e_adjacency_tensor(h), h.n)
+    _write_lines(f"{i} {d}\n" for i, d in enumerate(degrees, start=1))
     return EX_OK
 
 

@@ -105,15 +105,17 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
                 raise ValueError(f"line {lineno}: vertex count must be nonnegative")
             continue
         try:
-            vertices = [int(t) for t in tokens]
+            edge = frozenset(map(int, tokens))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed vertex index") from None
-        if len(set(vertices)) != len(vertices):
+        if len(edge) != len(tokens):
             raise ValueError(f"line {lineno}: duplicate vertex within hyperedge")
-        try:
-            edges.append(_as_edge(vertices, n))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        if min(edge) < 1 or max(edge) > n:
+            try:
+                _as_edge(edge, n)  # raises, naming the vertex it rejects
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        edges.append(edge)
     if n is None:
         raise ValueError("missing header: expected a vertex count line")
     if len(set(edges)) != len(edges):

@@ -8,6 +8,8 @@ other through the multiplicity weight of each canonical key.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -64,7 +66,14 @@ class HomogeneousPolynomial:
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
     """The polynomial whose coefficient on each key is value * orbit size."""
-    monomials = {key: Fraction(v * multiplicity_weight(key)) for key, v in t.entries.items()}
+    # one product per distinct (value, weight); keys share a few value objects, looked
+    # up by identity, since hashing a Fraction costs half a product
+    products: dict[tuple[int, int], Fraction] = {}
+    monomials = {}
+    distinct = math.factorial(t.order)  # the weight of a key of distinct indices, with no Counter
+    for key, v in t.entries.items():
+        pair = (id(v), distinct if len(set(key)) == t.order else multiplicity_weight(key))
+        monomials[key] = products.get(pair) or products.setdefault(pair, Fraction(v * pair[1]))
     return _trusted(HomogeneousPolynomial, t.order, t.dim, monomials)
 
 
@@ -109,8 +118,9 @@ def homogenize_step(
     monomials: dict[Monomial, Fraction] = {
         key + (y_index,): coefficient for key, coefficient in r.monomials.items()
     }
-    for key, coefficient in p_next.monomials.items():
-        monomials[key] = c_next * coefficient
+    products: dict[int, Fraction] = {}  # by coefficient identity, as in poly_from_tensor
+    for key, c in p_next.monomials.items():
+        monomials[key] = products.get(id(c)) or products.setdefault(id(c), c_next * c)
     return _trusted(HomogeneousPolynomial, r.degree + 1, r.var_count + 1, monomials)
 
 
@@ -151,14 +161,16 @@ def _partial_padding_evaluation(
 
     Returns the surviving original-variable monomials with their summed
     coefficients; a monomial survives exactly when it touches none of the
-    zeroed padding variables.
+    zeroed padding variables.  Keys must be sorted, as canonical keys are: the
+    original variables are then a prefix and the smallest padding variable,
+    the one that decides, comes right after it.
     """
     out: dict[Monomial, int] = {}
     for key, coefficient in monomials.items():
-        padding = [i - n for i in key if i > n]
-        if any(j <= zeros for j in padding):
+        s = bisect_right(key, n)
+        if s < len(key) and key[s] - n <= zeros:
             continue
-        zpart = tuple(i for i in key if i <= n)
+        zpart = key[:s]
         out[zpart] = out.get(zpart, 0) + coefficient
     return out
 

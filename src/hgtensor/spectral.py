@@ -43,8 +43,8 @@ def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | f
     for key, value in t.entries.items():
         if key[0] == key[-1]:  # a sorted key with equal ends repeats one index
             centers[key[0] - 1] = value
-        else:
-            off_diagonal.append((key, abs(value)))
+        else:  # abs would build a new Fraction for every nonnegative value too
+            off_diagonal.append((key, -value if value < 0 else value))
     return tuple(zip(centers, _slice_list(off_diagonal, t.order, t.dim)))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .hypergraph import Hypergraph, _uniform_size, degrees
+from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
@@ -156,9 +156,10 @@ def _slice_list(items: Iterable[tuple[Key, Value]], order: int, dim: int) -> lis
     """Slice sums 1..dim as a list; untouched indices share one zero."""
     sums, den = _slice_numerators(items, order)
     out = [Fraction(0) if den is not None else 0.0] * dim
+    quotients = {s: _quotient(s, den) for s in set(sums.values())}  # degrees repeat: share them
     for i, s in sums.items():
         if s:
-            out[i - 1] = _quotient(s, den)
+            out[i - 1] = quotients[s]
     return out
 
 
@@ -312,8 +313,8 @@ def layer_tensor_degree_normalized(hk: Hypergraph, k: int | None = None) -> SymT
     """
     k = _uniform_cardinality(hk, k)
     value = Fraction(1, math.factorial(k - 1))
-    entries = {tuple(sorted(e)): value for e in hk.edges}
-    return SymTensor(k, hk.n, entries)
+    # the edges of a validated uniform hypergraph give distinct canonical keys
+    return _trusted(SymTensor, k, hk.n, {tuple(sorted(e)): value for e in hk.edges})
 
 
 def layer_tensor_eigen_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:

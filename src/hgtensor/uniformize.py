@@ -11,6 +11,7 @@ a time; both routes feed the symmetric e-adjacency tensor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -143,6 +144,11 @@ def tensor_from_layered_uniform(lu: LayeredUniform) -> SymTensor:
     return SymTensor(k, lu.uniform.base.n, entries)
 
 
+def _padding_suffixes(n: int, k: int) -> list[tuple[int, ...]]:
+    """The padding suffix (n+s, ..., n+k-1) of an edge of size s, for s in 0..k."""
+    return [tuple(range(n + s, n + k)) for s in range(k + 1)]
+
+
 def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
     """Symmetric order-k_max tensor encoding all of h in one object.
 
@@ -153,10 +159,8 @@ def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
         raise ValueError("cannot build a tensor for a hypergraph with no edges")
     k = h.k_max
     value = Fraction(1, math.factorial(k - 1))
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for e in h.edges:
-        key = tuple(sorted(e)) + tuple(range(h.n + len(e), h.n + k))
-        entries[key] = value
+    suffixes = _padding_suffixes(h.n, k)
+    entries = {tuple(sorted(e)) + suffixes[len(e)]: value for e in h.edges}
     return _trusted(SymTensor, k, h.n + k - 1, entries)
 
 
@@ -216,19 +220,20 @@ def reconstruct(t: SymTensor, n: int) -> Hypergraph:
 
     Each canonical key must consist of distinct indices, so at most k_max - 1
     lie above n and the part at or below n is an edge of some size s >= 1; the
-    part above n must be exactly the suffix {n+s, ..., n+k_max-1}.
+    part above n must be exactly the suffix {n+s, ..., n+k_max-1}.  Canonical
+    keys are sorted, so the original part is the prefix of indices <= n and one
+    bisection splits each key.
     """
     k = _layered_order(t, n)
+    suffixes = _padding_suffixes(n, k)
     edges = []
     for key, _ in t.canonical_items():
         if len(set(key)) != len(key):
             raise ValueError(f"key {key} repeats an index")
-        original = tuple(i for i in key if i <= n)
-        padding = tuple(i for i in key if i > n)
-        expected = tuple(range(n + len(original), n + k))
-        if padding != expected:
+        s = bisect_right(key, n)
+        if key[s:] != suffixes[s]:
             raise ValueError(
-                f"key {key} has padding {padding}, expected {expected}"
+                f"key {key} has padding {key[s:]}, expected {suffixes[s]}"
             )
-        edges.append(frozenset(original))
+        edges.append(frozenset(key[:s]))
     return _trusted(Hypergraph, n, tuple(edges))

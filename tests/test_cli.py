@@ -504,6 +504,23 @@ class TestClosedFormProbes:
         assert code == 0
         assert out == "delta=1\ndelta_star=0\nbound=1\n"
 
+    def test_degrees_of_a_wide_sparse_input(self):
+        # 3 000 000 lines into a pipe, as a shell redirect sees them: one write per line took 10 s
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgtensor.cli", "degrees", "-"],
+            input="3000000\n1 2\n",
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("1 1\n2 1\n3 0\n")
+        assert proc.stdout.endswith("\n3000000 0\n")
+        assert proc.stdout.count("\n") == 3000000
+
 
 class TestUnconvergedGraphCheck:
     """graph-check prints its whole report and exits 2 when a power iteration stalls."""

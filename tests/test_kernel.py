@@ -1,9 +1,11 @@
-"""The slice-sum and contraction kernels against the per-index loops they replaced.
+"""Slice-sum, contraction and key-splitting kernels against the per-index loops they replaced.
 
 ``reference_slice_sum``, ``reference_apply`` and ``reference_gershgorin``
 are the original hand-written loops, kept verbatim (with ``self`` renamed to
 ``t``) as the reference.  Exact results must be equal; float results must be
 equal bit for bit, since the kernels add the same terms in the same order.
+``reference_reconstruct`` and ``reference_padding_evaluation`` test every
+index of a key against n, where the kernels split each sorted key once.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from hgtensor import (
     laplacian,
     layer_counts_from_tensor,
     layer_tensor_eigen_normalized,
+    reconstruct,
     vertex_degrees_from_tensor,
 )
+from hgtensor.polynomials import _partial_padding_evaluation
+from hgtensor.uniformize import _layered_order
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -275,3 +280,80 @@ def test_slice_sum_reads_one_index_of_a_huge_dim():
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # a dim-long list would take 80 MB
+
+
+def reference_reconstruct(t: SymTensor, n: int) -> tuple[frozenset[int], ...]:
+    k = _layered_order(t, n)
+    edges = []
+    for key, _ in t.canonical_items():
+        if len(set(key)) != len(key):
+            raise ValueError(f"key {key} repeats an index")
+        original = tuple(i for i in key if i <= n)
+        padding = tuple(i for i in key if i > n)
+        expected = tuple(range(n + len(original), n + k))
+        if padding != expected:
+            raise ValueError(
+                f"key {key} has padding {padding}, expected {expected}"
+            )
+        edges.append(frozenset(original))
+    return tuple(edges)
+
+
+def reference_padding_evaluation(monomials, n: int, zeros: int) -> dict:
+    out = {}
+    for key, coefficient in monomials.items():
+        padding = [i - n for i in key if i > n]
+        if any(j <= zeros for j in padding):
+            continue
+        zpart = tuple(i for i in key if i <= n)
+        out[zpart] = out.get(zpart, 0) + coefficient
+    return out
+
+
+@st.composite
+def padded_key_tensors(draw):
+    """Layered-shape tensors whose keys are padded edges, some with faulty padding.
+
+    Each key is an edge with its own padding suffix, an edge with distinct
+    padding indices drawn at random (often a non-suffix), or any key at all
+    over [1, dim], which may repeat original or padding indices.
+    """
+    order = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    dim = n + order - 1
+    specials = st.integers(n + 1, dim) if order > 1 else st.nothing()
+    entries = {}
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, min(n, order)))
+        edge = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        suffix = list(range(n + size, n + order))
+        kind = draw(st.sampled_from(["suffix", "suffix", "random padding", "any"]))
+        if kind == "suffix":
+            key = edge + suffix
+        elif kind == "random padding":
+            padding = st.lists(specials, min_size=len(suffix), max_size=len(suffix), unique=True)
+            key = edge + draw(padding)
+        else:
+            key = draw(st.lists(st.integers(1, dim), min_size=order, max_size=order))
+        entries[tuple(sorted(key))] = draw(rationals.filter(bool))
+    return SymTensor(order, dim, entries), n
+
+
+@KERNEL
+@given(padded_key_tensors())
+def test_reconstruct_matches_the_per_index_split(case):
+    t, n = case
+    rebuilt = outcome(reconstruct, t, n)
+    expected = outcome(reference_reconstruct, t, n)
+    assert (rebuilt if isinstance(rebuilt, str) else rebuilt.edges) == expected
+
+
+@KERNEL
+@given(padded_key_tensors())
+def test_padding_evaluation_matches_the_per_index_split(case):
+    t, n = case
+    booleanized = dict.fromkeys(t.entries, 1)
+    for monomials in (booleanized, t.entries):
+        for zeros in range(t.order + 1):
+            expected = reference_padding_evaluation(monomials, n, zeros)
+            assert _partial_padding_evaluation(monomials, n, zeros) == expected

@@ -31,7 +31,9 @@ from hgtensor import (
     e_adjacency_tensor,
     hypergraph_polynomial,
     layer_counts_from_tensor,
+    layer_tensor_degree_normalized,
     layer_tensor_eigen_normalized,
+    layer_tensor_raw,
     layered_uniform,
     parse_hypergraph,
     poly_from_tensor,
@@ -96,7 +98,10 @@ class TestTrustedBuilders:
         p = poly_from_tensor(t)
         homogenized = hypergraph_polynomial(h)
         back = tensor_from_poly(p)
-        for obj in (t, rival, back):
+        builders = (layer_tensor_degree_normalized, layer_tensor_raw)
+        layers = enumerate(decompose(h).layers, start=1)
+        layer_tensors = [build(layer, k) for k, layer in layers for build in builders]
+        for obj in (t, rival, back, *layer_tensors):
             assert_validated_equal(obj)
             assert_exact(obj.entries.values())
         for obj in (p, homogenized):
@@ -170,7 +175,7 @@ class TestValidatedOnce:
         reconstruct(t, h.n)
         dnf_extract(t, h.n, 2)
         t.to_coo()
-        assert calls == {"_as_edge": h.p}
+        assert calls == {}
 
     def test_banerjee_tensor(self, calls):
         banerjee_tensor(parse_hypergraph(K6_TEXT))
@@ -180,4 +185,4 @@ class TestValidatedOnce:
         h = parse_hypergraph(K6_TEXT)
         assert h.k_max == 6
         hypergraph_polynomial(h)
-        assert calls["_canonical"] == h.k_max + 1
+        assert calls == {"_canonical": 1}  # HomogeneousPolynomial.scaled, once
