@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import re
 import sys
@@ -140,18 +141,21 @@ def _cmd_cardinalities(h: Hypergraph, args) -> int:
     return EX_OK
 
 
+def _edge_lines(edges):
+    """One line per edge, each given as its vertices in ascending order."""
+    return (" ".join(map(str, e)) + "\n" for e in edges)
+
+
 def _cmd_reconstruct(h: Hypergraph, args) -> int:
     rebuilt = reconstruct(e_adjacency_tensor(h), h.n)
     print(rebuilt.n)
-    for e in rebuilt.edges:
-        print(" ".join(str(v) for v in sorted(e)))
+    _write_lines(_edge_lines(sorted(e) for e in rebuilt.edges))
     return EX_OK
 
 
 def _cmd_dnf(h: Hypergraph, args) -> int:
     edges = dnf_extract(e_adjacency_tensor(h), h.n, args.size)
-    for e in sorted(edges, key=sorted):
-        print(" ".join(str(v) for v in sorted(e)))
+    _write_lines(_edge_lines(sorted(tuple(sorted(e)) for e in edges)))
     return EX_OK
 
 
@@ -163,7 +167,17 @@ def _cmd_partitions(h: None, args) -> int:
 
 
 def _cmd_alpha(h: None, args) -> int:
-    print(banerjee_alpha(args.k, args.s))
+    k, s = args.k, args.s
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
+    if limit and 1 <= s <= k:  # out of range, banerjee_alpha names the range
+        # alpha >= s! * s^(k-s): the first s slots take the s labels in some order, the rest any
+        digits = math.floor(math.lgamma(s + 1) / math.log(10) + (k - s) * math.log10(s)) + 1
+        if digits > limit:
+            raise ValueError(
+                f"alpha({k}, {s}) has at least {digits} digits, "
+                f"above the limit of {limit} digits for printing an integer"
+            )
+    print(banerjee_alpha(k, s))
     return EX_OK
 
 
@@ -308,8 +322,11 @@ def main(argv: list[str] | None = None) -> int:
         # the reader stopped reading, as `| head` does; keep the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EX_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EX_DATA
 
 

@@ -8,7 +8,6 @@ other through the multiplicity weight of each canonical key.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,9 +58,9 @@ class HomogeneousPolynomial:
 
     def scaled(self, c: Fraction) -> HomogeneousPolynomial:
         c = Fraction(c)
-        return HomogeneousPolynomial(
-            self.degree, self.var_count, {k: c * v for k, v in self.monomials.items()}
-        )
+        # the keys stay canonical and a nonzero c keeps every coefficient nonzero
+        monomials = {k: c * v for k, v in self.monomials.items()} if c else {}
+        return _trusted(HomogeneousPolynomial, self.degree, self.var_count, monomials)
 
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
@@ -70,9 +69,8 @@ def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
     # up by identity, since hashing a Fraction costs half a product
     products: dict[tuple[int, int], Fraction] = {}
     monomials = {}
-    distinct = math.factorial(t.order)  # the weight of a key of distinct indices, with no Counter
     for key, v in t.entries.items():
-        pair = (id(v), distinct if len(set(key)) == t.order else multiplicity_weight(key))
+        pair = (id(v), multiplicity_weight(key))
         monomials[key] = products.get(pair) or products.setdefault(pair, Fraction(v * pair[1]))
     return _trusted(HomogeneousPolynomial, t.order, t.dim, monomials)
 

@@ -111,7 +111,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     m = t.order
     if m < 2:
         raise ValueError("power iteration needs a tensor of order at least 2")
-    if tol < 0:
+    if not tol >= 0:  # a NaN tolerance would never be met
         raise ValueError("tolerance must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

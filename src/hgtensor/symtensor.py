@@ -14,7 +14,6 @@ eigen-normalized adjacency variant, whose k-th roots force floats.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -26,11 +25,22 @@ Value = Fraction | float
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
-    """Number of distinct dense positions sharing this canonical key."""
-    counts = Counter(key)
+    """Number of distinct dense positions sharing this key: m!/(c_1!...c_j!).
+
+    One walk over the sorted key divides m! by the length of the current run
+    of equal indices at each repeat.  Every partial quotient is a multinomial
+    coefficient, so each division is exact.
+    """
     weight = math.factorial(len(key))
-    for c in counts.values():
-        weight //= math.factorial(c)
+    run = 1
+    previous = None
+    for i in sorted(key):
+        if i == previous:
+            run += 1
+            weight //= run
+        else:
+            previous = i
+            run = 1
     return weight
 
 
@@ -119,11 +129,11 @@ def _slice_numerators(
     """Slice sums at the indices the keys touch: ({index: numerator}, denominator).
 
     Slice sum i is the sum of value * w(key)·c_i/m over the canonical keys
-    holding i, where c_i counts i in the key; a key of m distinct indices
-    gives each of them value * (m-1)!.  Rational values are added as Python
-    integers over one common denominator.  With any float value the map holds
-    the float sums themselves and the denominator is None; they add the
-    ``_float_terms`` of ``items`` in order, as the contraction does.
+    holding i, where c_i counts i in the key.  Rational values are added as
+    Python integers: value * w(key) at every occurrence of every index, over
+    the common denominator of the values times m.  With any float value the
+    map holds the float sums themselves and the denominator is None; they add
+    the ``_float_terms`` of ``items`` in order, as the contraction does.
     """
     items = list(items)
     sums: dict[int, Value] = {}
@@ -132,19 +142,14 @@ def _slice_numerators(
         for i, coefficient, _ in _float_terms(items):
             sums[i] = get(i, 0.0) + coefficient
         return sums, None
-    den = math.lcm(*(v.denominator for _, v in items))
-    distinct = math.factorial(order - 1)
+    values = {id(v): v for _, v in items}  # keys share a few value objects: scale each once
+    den = math.lcm(*(v.denominator for v in values.values()))
+    scale = {i: v.numerator * (den // v.denominator) for i, v in values.items()}
     for key, value in items:
-        v = value.numerator * (den // value.denominator)
-        if len(set(key)) == order:
-            v *= distinct
-            for i in key:
-                sums[i] = get(i, 0) + v
-            continue
-        weight = multiplicity_weight(key)
-        for i in set(key):
-            sums[i] = get(i, 0) + v * (weight * key.count(i) // order)
-    return sums, den
+        v = scale[id(value)] * multiplicity_weight(key)
+        for i in key:
+            sums[i] = get(i, 0) + v
+    return sums, den * order
 
 
 def _quotient(numerator: Value, den: int | None) -> Value:

@@ -340,9 +340,10 @@ class TestEig:
         assert out.splitlines()[0] == "converged=true"
 
     def test_negative_tolerance_is_a_data_error(self, capsys):
-        code, _, err = run_cli(capsys, "eig", "--tol", "-1", SAMPLE)
-        assert code == 1
-        assert err.startswith("error:")
+        for tol in ("-1", "nan"):  # a NaN tolerance would run every iteration and exit 2
+            code, _, err = run_cli(capsys, "eig", "--tol", tol, SAMPLE)
+            assert code == 1
+            assert err == "error: tolerance must be nonnegative\n"
 
 
 class TestGraphCheck:
@@ -397,6 +398,38 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys)
         assert code == 64
         assert "usage error:" in err
+
+    @staticmethod
+    def run_capped(argv: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+        """The CLI in a child process that caps its own address space at 1 GB."""
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from hgtensor.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("argv", ["alpha --k {big} --s 2", "partitions --m {big} --s 1"])
+    def test_too_large_an_integer_is_a_data_error(self, argv):
+        # capped: without a check, alpha would build 2**(10**400)
+        proc = self.run_capped(argv.format(big=10**400).split())
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eig", "graph-check"])
+    def test_out_of_memory_is_a_data_error(self, command):
+        # 10**10 vertices: the eigensolver's dim-long vectors cannot fit in 1 GB
+        proc = self.run_capped([command, "-"], "10000000000\n1 2\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_module_entry_point():
@@ -479,6 +512,25 @@ class TestClosedFormProbes:
     def test_alpha_beyond_enumeration(self, capsys):
         code, out, _ = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
         assert code == 0 and out == "14620825330739032204800\n"
+
+    def test_alpha_beyond_the_printing_limit(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            # 9412 digits, refused before they are computed
+            code, out, err = self.run_timed(capsys, "alpha", "--k", "3000", "--s", "1500")
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: alpha(3000, 1500) has at least 8879 digits, "
+                "above the limit of 4300 digits for printing an integer\n"
+            )
+            # 4255 digits: printed, though 750^1500 has 4313
+            code, out, _ = self.run_timed(capsys, "alpha", "--k", "1500", "--s", "750")
+            assert code == 0 and len(out) == 4256 and out[:-1].isdigit()
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("command", ["tensor --model banerjee", "compare"])
     def test_oversized_banerjee_build_is_refused(self, capsys, monkeypatch, command):

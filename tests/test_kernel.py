@@ -6,6 +6,8 @@ are the original hand-written loops, kept verbatim (with ``self`` renamed to
 equal bit for bit, since the kernels add the same terms in the same order.
 ``reference_reconstruct`` and ``reference_padding_evaluation`` test every
 index of a key against n, where the kernels split each sorted key once.
+``_arrangements`` counts a key's orbit with a ``Counter``, against which the
+one orbit-size rule, ``multiplicity_weight``, is held.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from hypothesis import strategies as st
 from hgtensor import (
     Hypergraph,
     SymTensor,
+    banerjee_tensor,
     e_adjacency_tensor,
     gershgorin_disks,
     laplacian,
     layer_counts_from_tensor,
     layer_tensor_eigen_normalized,
+    multiplicity_weight,
+    poly_from_tensor,
     reconstruct,
     vertex_degrees_from_tensor,
 )
@@ -124,6 +129,34 @@ def assert_matches_reference(t: SymTensor) -> None:
     assert t.slice_sums() == expected
     assert [t.slice_sum(i) for i in range(1, t.dim + 1)] == expected
     assert gershgorin_disks(t) == reference_gershgorin(t)
+
+
+@KERNEL
+@given(st.lists(st.integers(-3, 4), max_size=14))
+def test_multiplicity_weight_on_unsorted_sequences(key):
+    # repeats need not be adjacent: the run walk must sort first
+    assert multiplicity_weight(key) == _arrangements(key)
+
+
+@st.composite
+def banerjee_tensors(draw):
+    """Banerjee tensors of orders 5-8, whose keys repeat an edge's vertices in long runs."""
+    n = draw(st.integers(5, 8))
+    order = draw(st.integers(5, n))
+    top = st.frozensets(st.integers(1, n), min_size=order, max_size=order)
+    smaller = st.frozensets(st.integers(1, n), min_size=1, max_size=order - 1)
+    edges = [draw(top), *draw(st.lists(smaller, min_size=1, max_size=3, unique=True))]
+    return banerjee_tensor(Hypergraph(n, tuple(edges)))
+
+
+@KERNEL
+@given(banerjee_tensors())
+def test_banerjee_tensors_of_high_order(t):
+    assert 5 <= t.order <= 8
+    assert_matches_reference(t)
+    assert t.nnz_positions() == sum(_arrangements(key) for key in t.entries)
+    expected = {key: value * _arrangements(key) for key, value in t.entries.items()}
+    assert poly_from_tensor(t).monomials == expected
 
 
 @KERNEL
