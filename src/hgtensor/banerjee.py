@@ -9,11 +9,12 @@ size-dependent entry values and a denser tensor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, repeat
+from operator import itemgetter
 
 from .hypergraph import Hypergraph, _trusted
 from .symtensor import SymTensor
@@ -66,12 +67,16 @@ def banerjee_tensor(h: Hypergraph) -> SymTensor:
     if keys > KEY_CAP:
         raise ValueError(f"the banerjee tensor needs {keys} keys, above the cap of {KEY_CAP}")
     values = {s: Fraction(s, banerjee_alpha(k, s)) for s in {len(e) for e in h.edges}}
+    if k == 1:  # all singletons; itemgetter(0) would give a scalar, not a key
+        return _trusted(SymTensor, 1, h.n, dict.fromkeys(map(tuple, h.edges), values[1]))
+    # A nondecreasing pattern of positions, mapped through an edge's sorted
+    # members, is one of its keys already sorted: one getter per pattern per size.
+    extras = {s: combinations_with_replacement(range(s), k - s) for s in values}
+    getters = {s: [itemgetter(*sorted((*range(s), *x))) for x in extras[s]] for s in values}
     entries: dict[tuple[int, ...], Fraction] = {}
     for e in h.edges:
-        members = tuple(sorted(e))
-        value = values[len(members)]
-        for extra in itertools.combinations_with_replacement(members, k - len(members)):
-            entries[tuple(sorted(members + extra))] = value
+        members = sorted(e)
+        entries.update(zip([g(members) for g in getters[len(e)]], repeat(values[len(e)])))
     return _trusted(SymTensor, k, h.n, entries)
 
 

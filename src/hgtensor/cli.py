@@ -169,15 +169,18 @@ def _cmd_partitions(h: None, args) -> int:
 def _cmd_alpha(h: None, args) -> int:
     k, s = args.k, args.s
     limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
+    too_long = f"above the limit of {limit} digits for printing an integer"
     if limit and 1 <= s <= k:  # out of range, banerjee_alpha names the range
         # alpha >= s! * s^(k-s): the first s slots take the s labels in some order, the rest any
         digits = math.floor(math.lgamma(s + 1) / math.log(10) + (k - s) * math.log10(s)) + 1
         if digits > limit:
-            raise ValueError(
-                f"alpha({k}, {s}) has at least {digits} digits, "
-                f"above the limit of {limit} digits for printing an integer"
-            )
-    print(banerjee_alpha(k, s))
+            raise ValueError(f"alpha({k}, {s}) has at least {digits} digits, {too_long}")
+    answer = banerjee_alpha(k, s)
+    # the estimate can fall short; alpha <= estimate**2, so the quotient still prints
+    if limit and answer >= 10**limit:
+        digits = limit + len(str(answer // 10**limit))
+        raise ValueError(f"alpha({k}, {s}) has {digits} digits, {too_long}")
+    print(answer)
     return EX_OK
 
 

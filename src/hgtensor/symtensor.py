@@ -287,10 +287,20 @@ class SymTensor:
         return "".join(self._coo_lines())
 
     def _coo_lines(self) -> Iterator[str]:
-        """The lines of ``to_coo``, each ending in a newline, made one at a time."""
+        """The lines of ``to_coo``, each ending in a newline, made one at a time.
+
+        Keys go through one ``%d`` row format.  A value is formatted again only
+        when its object differs from the previous key's: a run of one shared
+        value is formatted once, and no string is kept per key.
+        """
         yield f"symtensor v1 order={self.order} dim={self.dim}\n"
-        for key, value in self.canonical_items():
-            yield f"{' '.join(map(str, key))} {format_value(value)}\n"
+        row = " ".join(["%d"] * self.order)
+        last = None
+        for key in sorted(self.entries):
+            value = self.entries[key]
+            if value is not last:
+                last, text = value, f" {format_value(value)}\n"
+            yield row % key + text
 
 
 def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:

@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgtensor import (
     Hypergraph,
@@ -175,6 +177,56 @@ class TestBanerjeeTensor:
             banerjee_tensor(sample)
         with pytest.raises(ValueError, match=message):
             compare_tensors(sample)
+
+
+def reference_banerjee_entries(h: Hypergraph) -> dict:
+    """The build that sorted every edge's members together with each extra multiset."""
+    k = h.k_max
+    values = {s: Fraction(s, banerjee_alpha(k, s)) for s in {len(e) for e in h.edges}}
+    entries = {}
+    for e in h.edges:
+        members = tuple(sorted(e))
+        value = values[len(members)]
+        for extra in itertools.combinations_with_replacement(members, k - len(members)):
+            entries[tuple(sorted(members + extra))] = value
+    return entries
+
+
+@st.composite
+def banerjee_inputs(draw):
+    """Hypergraphs with k_max 1-8: one edge of size k_max and up to five smaller or equal."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 8)))
+    top = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+    other = st.frozensets(st.integers(1, n), min_size=1, max_size=k)
+    edges = [draw(top), *draw(st.lists(other, max_size=5))]
+    return Hypergraph(n, tuple(dict.fromkeys(edges)))
+
+
+class TestBanerjeeAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(banerjee_inputs())
+    def test_entries_match_the_sorted_merge(self, h):
+        t = banerjee_tensor(h)
+        expected = reference_banerjee_entries(h)
+        assert list(t.entries.items()) == list(expected.items())  # same keys, values, order
+        # the keys reach SymTensor through _trusted, so nothing else checks them
+        assert all(len(key) == h.k_max and list(key) == sorted(key) for key in t.entries)
+        assert (t.order, t.dim) == (h.k_max, h.n)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            Hypergraph(4, (frozenset({3}), frozenset({1}), frozenset({4}))),
+            Hypergraph(8, (frozenset(range(1, 9)),)),
+            Hypergraph(9, (frozenset({2, 5, 9}),)),
+        ],
+        ids=["all singletons", "one edge of size k_max 8", "one edge of size k_max 3"],
+    )
+    def test_edge_cases(self, h):
+        t = banerjee_tensor(h)
+        assert list(t.entries.items()) == list(reference_banerjee_entries(h).items())
+        assert all(len(key) == h.k_max and list(key) == sorted(key) for key in t.entries)
 
 
 class TestComparison:

@@ -532,6 +532,22 @@ class TestClosedFormProbes:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_alpha_between_the_estimate_and_the_printing_limit(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            # the estimate is 4051 digits, so alpha is computed, but it has 4320
+            code, out, err = self.run_timed(capsys, "alpha", "--k", "1520", "--s", "760")
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: alpha(1520, 760) has 4320 digits, "
+                "above the limit of 4300 digits for printing an integer\n"
+            )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     @pytest.mark.parametrize("command", ["tensor --model banerjee", "compare"])
     def test_oversized_banerjee_build_is_refused(self, capsys, monkeypatch, command):
         # C(29, 29) + C(29, 14) keys, tens of GB if built

@@ -7,14 +7,15 @@ equal bit for bit, since the kernels add the same terms in the same order.
 ``reference_reconstruct`` and ``reference_padding_evaluation`` test every
 index of a key against n, where the kernels split each sorted key once.
 ``_arrangements`` counts a key's orbit with a ``Counter``, against which the
-one orbit-size rule, ``multiplicity_weight``, is held.
+one orbit-size rule, ``multiplicity_weight``, is held.  ``reference_coo`` is
+the COO writer that joined ``str`` of every index and formatted every value.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from hgtensor import (
     vertex_degrees_from_tensor,
 )
 from hgtensor.polynomials import _partial_padding_evaluation
+from hgtensor.symtensor import format_value
 from hgtensor.uniformize import _layered_order
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -390,3 +392,67 @@ def test_padding_evaluation_matches_the_per_index_split(case):
         for zeros in range(t.order + 1):
             expected = reference_padding_evaluation(monomials, n, zeros)
             assert _partial_padding_evaluation(monomials, n, zeros) == expected
+
+
+def reference_coo(t: SymTensor) -> str:
+    lines = [f"symtensor v1 order={t.order} dim={t.dim}\n"]
+    for key, value in t.canonical_items():
+        lines.append(f"{' '.join(map(str, key))} {format_value(value)}\n")
+    return "".join(lines)
+
+
+coo_values = (
+    st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 12))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e-300, -1e-300, 0.123456789012, -98765.4321098, 1 / 3, 7])
+)
+
+
+def _fresh(value):
+    """An equal value in a new object."""
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    return type(value)(repr(value))
+
+
+@st.composite
+def coo_tensors(draw):
+    """Tensors of orders 1-6 whose values are shared objects, new per key, or a mix."""
+    order = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 6) | st.just(10**7))
+    index = st.integers(1, dim) if dim < 10 else st.sampled_from([1, 2, 999, dim - 1, dim])
+    key = st.lists(index, min_size=order, max_size=order).map(lambda k: tuple(sorted(k)))
+    keys = draw(st.lists(key, max_size=12, unique=True))
+    pool = draw(st.lists(coo_values, min_size=1, max_size=3))
+    if draw(st.booleans()):  # equal to pool[0], yet written num/den where pool[0] is a float
+        pool.append(Fraction(pool[0]))
+    sharing = draw(st.sampled_from(["shared", "fresh", "mixed"]))
+    entries = {}
+    for k in keys:
+        value = draw(st.sampled_from(pool))
+        fresh = sharing == "fresh" or (sharing == "mixed" and draw(st.booleans()))
+        entries[k] = _fresh(value) if fresh else value
+    return SymTensor(order, dim, entries)
+
+
+@KERNEL
+@given(coo_tensors())
+def test_coo_matches_the_joined_indices(t):
+    assert t.to_coo() == reference_coo(t)
+
+
+def test_coo_lines_keep_no_string_per_key():
+    # an eigen-normalized tensor holds one float object per key: a memo keyed
+    # by value object would keep a formatted string for every one of them
+    n = 20000
+    path = [frozenset({i, i + 1, i + 2}) for i in range(1, n - 1)]
+    fans = [frozenset({1, i, i + n // 2}) for i in range(2, n // 2, 7)]
+    t = layer_tensor_eigen_normalized(Hypergraph(n, tuple(path + fans)))
+    assert len({id(v) for v in t.entries.values()}) == len(t.entries)
+    tracemalloc.start()
+    try:
+        deque(t._coo_lines(), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(t.entries)  # the sorted keys; each line takes over 60 bytes
