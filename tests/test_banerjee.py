@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgtensor import (
@@ -206,6 +206,9 @@ def banerjee_inputs(draw):
 class TestBanerjeeAgainstReference:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(banerjee_inputs())
+    @example(Hypergraph(4, (frozenset({3}), frozenset({1}), frozenset({4}))))  # k_max = 1
+    @example(Hypergraph(8, (frozenset(range(1, 9)),)))  # one edge, of size k_max
+    @example(Hypergraph(9, (frozenset({2, 5, 9}),)))  # one edge, below n
     def test_entries_match_the_sorted_merge(self, h):
         t = banerjee_tensor(h)
         expected = reference_banerjee_entries(h)
@@ -213,20 +216,6 @@ class TestBanerjeeAgainstReference:
         # the keys reach SymTensor through _trusted, so nothing else checks them
         assert all(len(key) == h.k_max and list(key) == sorted(key) for key in t.entries)
         assert (t.order, t.dim) == (h.k_max, h.n)
-
-    @pytest.mark.parametrize(
-        "h",
-        [
-            Hypergraph(4, (frozenset({3}), frozenset({1}), frozenset({4}))),
-            Hypergraph(8, (frozenset(range(1, 9)),)),
-            Hypergraph(9, (frozenset({2, 5, 9}),)),
-        ],
-        ids=["all singletons", "one edge of size k_max 8", "one edge of size k_max 3"],
-    )
-    def test_edge_cases(self, h):
-        t = banerjee_tensor(h)
-        assert list(t.entries.items()) == list(reference_banerjee_entries(h).items())
-        assert all(len(key) == h.k_max and list(key) == sorted(key) for key in t.entries)
 
 
 class TestComparison:

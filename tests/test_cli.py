@@ -526,25 +526,16 @@ class TestClosedFormProbes:
                 "error: alpha(3000, 1500) has at least 8879 digits, "
                 "above the limit of 4300 digits for printing an integer\n"
             )
-            # 4255 digits: printed, though 750^1500 has 4313
-            code, out, _ = self.run_timed(capsys, "alpha", "--k", "1500", "--s", "750")
-            assert code == 0 and len(out) == 4256 and out[:-1].isdigit()
-        finally:
-            sys.set_int_max_str_digits(saved)
-
-    def test_alpha_between_the_estimate_and_the_printing_limit(self, capsys):
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this Python prints integers of any length")
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        try:
-            # the estimate is 4051 digits, so alpha is computed, but it has 4320
+            # 4320 digits past an estimate of 4051: computed, then refused
             code, out, err = self.run_timed(capsys, "alpha", "--k", "1520", "--s", "760")
             assert (code, out) == (1, "")
             assert err == (
                 "error: alpha(1520, 760) has 4320 digits, "
                 "above the limit of 4300 digits for printing an integer\n"
             )
+            # 4255 digits: printed, though 750^1500 has 4313
+            code, out, _ = self.run_timed(capsys, "alpha", "--k", "1500", "--s", "750")
+            assert code == 0 and len(out) == 4256 and out[:-1].isdigit()
         finally:
             sys.set_int_max_str_digits(saved)
 

@@ -409,7 +409,7 @@ coo_values = (
 
 
 def _fresh(value):
-    """An equal value in a new object."""
+    """An equal value, in a new object unless it is a small int."""
     if isinstance(value, Fraction):
         return Fraction(value.numerator, value.denominator)
     return type(value)(repr(value))
