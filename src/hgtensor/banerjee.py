@@ -71,8 +71,10 @@ def banerjee_tensor(h: Hypergraph) -> SymTensor:
         return _trusted(SymTensor, 1, h.n, dict.fromkeys(map(tuple, h.edges), values[1]))
     # A nondecreasing pattern of positions, mapped through an edge's sorted
     # members, is one of its keys already sorted: one getter per pattern per size.
-    extras = {s: combinations_with_replacement(range(s), k - s) for s in values}
-    getters = {s: [itemgetter(*sorted((*range(s), *x))) for x in extras[s]] for s in values}
+    getters = {
+        s: [itemgetter(*sorted((*range(s), *x))) for x in combinations_with_replacement(range(s), k - s)]
+        for s in values
+    }
     entries: dict[tuple[int, ...], Fraction] = {}
     for e in h.edges:
         members = sorted(e)

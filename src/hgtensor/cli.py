@@ -176,8 +176,9 @@ def _cmd_alpha(h: None, args) -> int:
         if digits > limit:
             raise ValueError(f"alpha({k}, {s}) has at least {digits} digits, {too_long}")
     answer = banerjee_alpha(k, s)
-    # the estimate can fall short; alpha <= estimate**2, so the quotient still prints
-    if limit and answer >= 10**limit:
+    # the estimate can fall short; alpha <= estimate**2, so the quotient still prints.
+    # 10**limit has more than limit * 3.32 bits, so shorter answers skip building it
+    if limit and answer.bit_length() > limit * 3.32 and answer >= 10**limit:
         digits = limit + len(str(answer // 10**limit))
         raise ValueError(f"alpha({k}, {s}) has {digits} digits, {too_long}")
     print(answer)

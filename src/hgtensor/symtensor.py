@@ -296,8 +296,7 @@ class SymTensor:
         yield f"symtensor v1 order={self.order} dim={self.dim}\n"
         row = " ".join(["%d"] * self.order)
         last = None
-        for key in sorted(self.entries):
-            value = self.entries[key]
+        for key, value in self.canonical_items():
             if value is not last:
                 last, text = value, f" {format_value(value)}\n"
             yield row % key + text

@@ -539,6 +539,19 @@ class TestClosedFormProbes:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    def test_alpha_under_a_raised_printing_limit(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4_000_000)  # 10**limit alone takes seconds to build
+        try:
+            code, out, _ = self.run_timed(capsys, "alpha", "--k", "3", "--s", "2")
+            assert (code, out) == (0, "6\n")
+            code, out, _ = self.run_timed(capsys, "alpha", "--k", "1520", "--s", "760")
+            assert code == 0 and len(out) == 4321 and out[:-1].isdigit()
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     @pytest.mark.parametrize("command", ["tensor --model banerjee", "compare"])
     def test_oversized_banerjee_build_is_refused(self, capsys, monkeypatch, command):
         # C(29, 29) + C(29, 14) keys, tens of GB if built
