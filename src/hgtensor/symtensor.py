@@ -294,8 +294,7 @@ class SymTensor:
         value is formatted once, and no string is kept per key.
         """
         yield f"symtensor v1 order={self.order} dim={self.dim}\n"
-        row = " ".join(["%d"] * self.order)
-        last = None
+        row, last = " ".join(["%d"] * self.order), None
         for key, value in self.canonical_items():
             if value is not last:
                 last, text = value, f" {format_value(value)}\n"
