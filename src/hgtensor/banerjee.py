@@ -21,6 +21,7 @@ from .symtensor import SymTensor
 from .uniformize import e_adjacency_tensor
 
 KEY_CAP = 10**6
+PARTITION_CAP = 10**7
 
 
 def partitions_count(m: int, s: int) -> int:
@@ -29,11 +30,16 @@ def partitions_count(m: int, s: int) -> int:
     Removing one from each part maps these onto the partitions of m - s into
     parts of size at most s, so one coin-change table over part sizes
     1..min(s, m - s) counts them.  Zero for negative input and for s > m;
-    p_0(0) = 1.
+    p_0(0) = 1.  Tables of more than PARTITION_CAP additions are refused.
     """
     if m < 0 or s < 0 or s > m:
         return 0
     rest = m - s
+    additions = rest * min(s, rest)
+    if additions > PARTITION_CAP:
+        # a power of ten: the product of two 4300-digit inputs is past the printing limit
+        estimate = f"about 10^{math.log10(additions):.1f} additions"
+        raise ValueError(f"the partition table needs {estimate}, above the cap of {PARTITION_CAP}")
     ways = [1] + [0] * rest
     for part in range(1, min(s, rest) + 1):
         for total in range(part, rest + 1):
@@ -100,26 +106,28 @@ class ComparisonReport:
 
 
 def compare_tensors(h: Hypergraph) -> ComparisonReport:
-    """Build both tensors of h and collect the headline numbers.
+    """Collect the headline numbers of both tensors of h.
 
-    The describe count is the number of independent values needed to write
-    the tensor down: p for the layered model, and sum_s count_s * p_s(k_max)
-    (partitions of k_max into s parts) for the all-positions model.
+    The built tensors give the dims and refuse oversized or edgeless input.
+    Nonzero positions are p * k_max! and sum_s count_s * alpha(k_max, s); the
+    describe counts, the independent values that write each tensor down, are p
+    and sum_s count_s * p_s(k_max), with p_s counting partitions into s parts.
     """
     layered = e_adjacency_tensor(h)
     rival = banerjee_tensor(h)
     k = h.k_max
     size_counts = sorted(Counter(len(e) for e in h.edges).items())
+    alphas = {s: banerjee_alpha(k, s) for s, _ in size_counts}
     return ComparisonReport(
         order=k,
         layered_dim=layered.dim,
         banerjee_dim=rival.dim,
         layered_total_elements=layered.dim**k,
         banerjee_total_elements=rival.dim**k,
-        layered_nnz_positions=layered.nnz_positions(),
-        banerjee_nnz_positions=rival.nnz_positions(),
+        layered_nnz_positions=h.p * math.factorial(k),
+        banerjee_nnz_positions=sum(c * alphas[s] for s, c in size_counts),
         layered_describe_count=h.p,
         banerjee_describe_count=sum(c * partitions_count(k, s) for s, c in size_counts),
         layered_entry_value=Fraction(1, math.factorial(k - 1)),
-        banerjee_entry_values={s: Fraction(s, banerjee_alpha(k, s)) for s, _ in size_counts},
+        banerjee_entry_values={s: Fraction(s, a) for s, a in alphas.items()},
     )

@@ -86,15 +86,9 @@ def _cmd_info(h: Hypergraph, args) -> int:
 
 
 def _cmd_layers(h: Hypergraph, args) -> int:
-    dec = decompose(h)
-    lines = []
-    for k in range(1, dec.k_max + 1):
-        layer = dec.layer(k)
-        noun = "edge" if layer.p == 1 else "edges"
-        lines.append(f"layer {k}: {layer.p} {noun}")
-        for e in layer.edges:
-            lines.append("  " + " ".join(str(v) for v in sorted(e)))
-    print("\n".join(lines))
+    for k, layer in enumerate(decompose(h).layers, start=1):
+        print(f"layer {k}: {layer.p} {'edge' if layer.p == 1 else 'edges'}")
+        _write_lines("  " + line for line in _edge_lines(sorted(e) for e in layer.edges))
     return EX_OK
 
 

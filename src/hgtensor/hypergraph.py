@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import combinations
 from typing import IO, Iterable
 
 Edge = frozenset[int]
@@ -90,10 +91,9 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     n: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 1:
                 raise ValueError(f"line {lineno}: header must be a single integer")
@@ -171,11 +171,9 @@ def adjacency_matrix_bretto(h: Hypergraph) -> Matrix:
     """Symmetric n x n matrix counting shared edges; zero diagonal."""
     a = [[Fraction(0)] * h.n for _ in range(h.n)]
     for e in h.edges:
-        members = sorted(e)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                a[u - 1][v - 1] += 1
-                a[v - 1][u - 1] += 1
+        for u, v in combinations(e, 2):
+            a[u - 1][v - 1] += 1
+            a[v - 1][u - 1] += 1
     return a
 
 
@@ -200,12 +198,7 @@ def adjacency_matrix_zhou(hw: WeightedHypergraph) -> Matrix:
 
 def two_section(h: Hypergraph) -> Hypergraph:
     """Graph on the same vertices joining every pair co-resident in some edge."""
-    pairs: set[Edge] = set()
-    for e in h.edges:
-        members = sorted(e)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                pairs.add(frozenset((u, v)))
+    pairs = {frozenset(pair) for e in h.edges for pair in combinations(e, 2)}
     ordered = sorted(pairs, key=sorted)
     return _trusted(Hypergraph, h.n, tuple(ordered))
 
@@ -218,4 +211,4 @@ def is_k_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
 
 def is_e_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
     """True when the given vertex set is exactly one of the hyperedges."""
-    return _vertex_set(h, vertices) in set(h.edges)
+    return _vertex_set(h, vertices) in h.edges

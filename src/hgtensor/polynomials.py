@@ -141,17 +141,6 @@ def hypergraph_polynomial(
     return r
 
 
-def _boolean_monomials(t: SymTensor, n: int) -> dict[Monomial, int]:
-    """Keys of t with every coefficient replaced by 1."""
-    _layered_order(t, n)
-    out: dict[Monomial, int] = {}
-    for key in t.entries:
-        if len(set(key)) != len(key):
-            raise ValueError(f"key {key} repeats an index")
-        out[key] = 1
-    return out
-
-
 def _partial_padding_evaluation(
     monomials: Mapping[Monomial, int], n: int, zeros: int
 ) -> dict[Monomial, int]:
@@ -184,7 +173,11 @@ def dnf_extract(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
     k = t.order
     if not 1 <= size <= k:
         raise ValueError(f"size {size} out of range [1, {k}]")
-    booleanized = _boolean_monomials(t, n)
+    _layered_order(t, n)
+    for key in t.entries:
+        if len(set(key)) != len(key):
+            raise ValueError(f"key {key} repeats an index")
+    booleanized = dict.fromkeys(t.entries, 1)
     kept = _partial_padding_evaluation(booleanized, n, size - 1)
     if size < k:
         dropped = _partial_padding_evaluation(booleanized, n, size)

@@ -193,14 +193,14 @@ def graph_consistency_check(g: Hypergraph) -> GraphCaseReport:
     a = layer_tensor_raw(g, 2)
     c2 = Fraction(1)
 
-    # equal key maps: the n x n block is c_2 A and no key touches index n+1
-    block_ok = t.entries == {key: c2 * v for key, v in a.entries.items()}
+    # equal key maps: the n x n block is c_2 A = A and no key touches index n+1
+    block_ok = t.entries == a.entries
     graph_pair = power_iteration(a)
     layered_pair = power_iteration(t)
     relation_ok = (
         graph_pair.converged
         and layered_pair.converged
-        and abs(layered_pair.value - float(c2) * graph_pair.value) <= 1e-8
+        and abs(layered_pair.value - graph_pair.value) <= 1e-8
     )
 
     axis = [Fraction(0)] * (n + 1)

@@ -69,6 +69,17 @@ class TestPartitions:
                 assert partitions_count(m, s) == expected
         assert partitions_count(0, 0) == 1
 
+    def test_refuses_a_table_above_the_cap(self, monkeypatch):
+        # (m - s) * min(s, m - s) additions: 999 000 000 here
+        with pytest.raises(ValueError, match=r"about 10\^9\.0 additions, above the cap of 10000000$"):
+            partitions_count(1_000_000, 1000)
+        # p_3(7) takes 4 * 3 additions: answered at that cap, refused just below it
+        monkeypatch.setattr(banerjee, "PARTITION_CAP", 12)
+        assert partitions_count(7, 3) == 4
+        monkeypatch.setattr(banerjee, "PARTITION_CAP", 11)
+        with pytest.raises(ValueError, match="above the cap of 11$"):
+            partitions_count(7, 3)
+
 
 class TestAlpha:
     def test_anchors(self):
@@ -235,8 +246,9 @@ class TestComparison:
 
     def test_nnz_formulas(self):
         rng = random.Random(603)
-        for _ in range(30):
-            h = random_hypergraph(rng, max_n=8, max_k=4)
+        # at max_k=8 most Banerjee keys repeat an index, so orbit sizes are not all k!
+        for max_k in [4] * 30 + [8] * 10:
+            h = random_hypergraph(rng, max_n=8, max_k=max_k)
             report = compare_tensors(h)
             k = h.k_max
             assert report.layered_nnz_positions == math.factorial(k) * h.p

@@ -509,6 +509,16 @@ class TestClosedFormProbes:
         code, out, _ = self.run_timed(capsys, "partitions", "--m", "3000", "--s", "1500")
         assert code == 0 and out == f"{partition_numbers(1500)[1500]}\n"
 
+    @pytest.mark.parametrize(
+        "m, s", [(10**6, 1000), (10**400, 1), (10**3000, 5 * 10**2999)], ids=["1e6", "1e400", "1e3000"]
+    )
+    def test_partitions_table_above_the_cap_is_refused(self, capsys, m, s):
+        # 10^9, 10^400 and about 10^6000 additions: named as a power of ten, never printed whole
+        code, out, err = self.run_timed(capsys, "partitions", "--m", str(m), "--s", str(s))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the partition table needs about 10^") and err.count("\n") == 1
+        assert err.endswith(" additions, above the cap of 10000000\n")
+
     def test_alpha_beyond_enumeration(self, capsys):
         code, out, _ = self.run_timed(capsys, "alpha", "--k", "22", "--s", "11")
         assert code == 0 and out == "14620825330739032204800\n"

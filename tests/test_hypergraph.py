@@ -41,6 +41,11 @@ class TestParsing:
         h = parse_hypergraph(text)
         assert h.n == 3
         assert h.edges == (frozenset({1, 2}), frozenset({3}))
+        # indented comments, a tab-indented header and padded edge lines
+        text = "  # one\n\t# two\n\t4\n \t\n  1 2 \n\t3\t4\t\n   #1 2 3\n 4 \n"
+        h = parse_hypergraph(text)
+        assert h.n == 4
+        assert h.edges == (frozenset({1, 2}), frozenset({3, 4}), frozenset({4}))
 
     def test_header_only(self):
         h = parse_hypergraph("3\n")
