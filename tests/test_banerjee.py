@@ -246,7 +246,7 @@ class TestComparison:
 
     def test_nnz_formulas(self):
         rng = random.Random(603)
-        # at max_k=8 most Banerjee keys repeat an index, so orbit sizes are not all k!
+        # at max_k=8 many Banerjee keys repeat indices, so their orbit sizes are below k!
         for max_k in [4] * 30 + [8] * 10:
             h = random_hypergraph(rng, max_n=8, max_k=max_k)
             report = compare_tensors(h)
