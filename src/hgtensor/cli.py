@@ -21,6 +21,7 @@ from .layers import decompose
 from .polynomials import dnf_extract, hypergraph_polynomial
 from .spectral import _degree_bound, graph_consistency_check, power_iteration
 from .symtensor import (
+    _decimal,
     format_value,
     layer_tensor_degree_normalized,
     layer_tensor_eigen_normalized,
@@ -55,11 +56,11 @@ def _read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(handle.read())
 
 
-def _text(value) -> str:
-    """A report value as text; ints print with str, as format_value rounds them past 2**53."""
+def _text(name: str, value) -> str:
+    """A report value as text; ints print in full, as format_value rounds them past 2**53."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value) if isinstance(value, int) else format_value(value)
+    return _decimal(value, name) if isinstance(value, int) else format_value(value)
 
 
 def _write_lines(lines) -> None:
@@ -73,7 +74,7 @@ def _write_lines(lines) -> None:
 
 def _report(pairs) -> None:
     """Print one name=value line per (name, value) pair."""
-    print("\n".join(f"{name}={_text(value)}" for name, value in pairs))
+    print("\n".join(f"{name}={_text(name, value)}" for name, value in pairs))
 
 
 def _cmd_info(h: Hypergraph, args) -> int:
@@ -163,19 +164,14 @@ def _cmd_partitions(h: None, args) -> int:
 def _cmd_alpha(h: None, args) -> int:
     k, s = args.k, args.s
     limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
-    too_long = f"above the limit of {limit} digits for printing an integer"
     if limit and 1 <= s <= k:  # out of range, banerjee_alpha names the range
         # alpha >= s! * s^(k-s): the first s slots take the s labels in some order, the rest any
         digits = math.floor(math.lgamma(s + 1) / math.log(10) + (k - s) * math.log10(s)) + 1
         if digits > limit:
+            too_long = f"above the limit of {limit} digits for printing an integer"
             raise ValueError(f"alpha({k}, {s}) has at least {digits} digits, {too_long}")
-    answer = banerjee_alpha(k, s)
-    # the estimate can fall short; alpha <= estimate**2, so the quotient still prints.
-    # 10**limit has more than limit * 3.32 bits, so shorter answers skip building it
-    if limit and answer.bit_length() > limit * 3.32 and answer >= 10**limit:
-        digits = limit + len(str(answer // 10**limit))
-        raise ValueError(f"alpha({k}, {s}) has {digits} digits, {too_long}")
-    print(answer)
+    # the estimate can fall short: _decimal still names the digit count
+    print(_decimal(banerjee_alpha(k, s), f"alpha({k}, {s})"))
     return EX_OK
 
 
@@ -195,7 +191,7 @@ def _cmd_compare(h: Hypergraph, args) -> int:
     for name, value in pairs:
         model, _, metric = name.partition("_")  # an unprefixed name is shared
         row = table.setdefault(re.sub(r"_size_(\d+)$", r"[s=\1]", metric or model), {})
-        row.update(dict.fromkeys([model] if metric else models, _text(value)))
+        row.update(dict.fromkeys([model] if metric else models, _text(name, value)))
     rows = [["metric", *models]]
     rows += [[metric, *(row.get(m, "-") for m in models)] for metric, row in table.items()]
     widths = [max(len(row[c]) for row in rows) for c in range(3)]

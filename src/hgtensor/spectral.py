@@ -9,7 +9,7 @@ from itertools import chain
 from typing import Sequence
 
 from .hypergraph import Hypergraph
-from .symtensor import SymTensor, _float_contract, _float_terms, _slice_list, layer_tensor_raw
+from .symtensor import SymTensor, _exact_sums, _float_contract, _float_terms, _rational, _slice_list, layer_tensor_raw
 from .uniformize import e_adjacency_tensor
 
 
@@ -27,11 +27,15 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
     passes when the largest residual is at most tol * (1 + |value|).  With
     rational inputs and tol = 0 this is an exact test.
     """
-    contracted = t.apply(x)
-    residual = max(
-        (abs(contracted[i] - value * x[i] ** (t.order - 1)) for i in range(t.dim)),
-        default=Fraction(0),
-    )
+    m = t.order
+    if len(x) != t.dim or not _rational(chain([value], x, t.entries.values())):  # apply names a bad length
+        contracted = t.apply(x)
+        residual = max((abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim)), default=Fraction(0))
+    else:  # |s_i/scale - value * x_i^(m-1)| over one denominator: integers until the end
+        sums, xs, value_den, scale = _exact_sums(list(t.entries.items()), m, x)  # order 1 reads no x
+        top, den = value.numerator * value_den, value.denominator
+        numerator = max((abs(s * den - top * c ** (m - 1)) for s, c in zip(sums[1:], xs[1:])), default=0)
+        residual = Fraction(numerator, scale * den)
     threshold = tol * (1 + abs(value))
     return EigenCheck(residual, threshold, residual <= threshold)
 
@@ -115,7 +119,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("tolerance must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if any(v < 0 for v in t.entries.values()):
+    if any(v < 0 for v in {id(v): v for v in t.entries.values()}.values()):  # one test per value object
         raise ValueError("power iteration needs a nonnegative tensor")
     support = sorted({i for key in t.entries for i in key})
     if not support:

@@ -13,7 +13,9 @@ eigen-normalized adjacency variant, whose k-th roots force floats.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -22,6 +24,7 @@ from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
+_CHUNK = 64  # factors per product expression in _fold: Pythons 3.10-3.12 cannot compile ~3000
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
@@ -63,18 +66,22 @@ def _leave_one_out(items: Iterable[tuple[Key, Value]]) -> Iterator[tuple[int, Va
                 yield i, value, weight * key.count(i) // m, key[:pos] + key[pos + 1 :]
 
 
-def _fold(terms: Iterable[tuple[int, Value, Key]], xs: Sequence, zero) -> list:
-    """out[i] = sum of coefficient * prod(xs[j] for j in rest) over terms (i, coefficient, rest).
+@functools.cache
+def _fold(width: int):
+    """fold(terms, xs, zero) -> out: out[i] sums c * xs[j_1] * ... * xs[j_width] over terms (i, c, rest).
 
-    xs and out are indexed from 1 (slot 0 is padding).  Terms are added in
-    the order given, which is what fixes float results bit for bit.
+    One loop per width unpacks each rest in its target; products go left to right, _CHUNK factors
+    per expression.  xs and out are indexed from 1 (slot 0 is padding).  Terms are added in the
+    order given, which is what fixes float results bit for bit.
     """
-    out = [zero] * len(xs)
-    for i, product, rest in terms:
-        for j in rest:
-            product *= xs[j]
-        out[i] += product
-    return out
+    factors = [f" * xs[j{k}]" for k in range(width)]
+    *chunks, last = ["".join(factors[k : k + _CHUNK]) for k in range(0, width, _CHUNK)] or [""]
+    target = "".join(f"j{k}, " for k in range(width))
+    # the source is made from integers alone, as dataclasses makes __init__: no value enters it
+    lines = ["def fold(terms, xs, zero):", "    out = [zero] * len(xs)", f"    for i, c, ({target}) in terms:"]
+    lines += [f"        c = c{chunk}" for chunk in chunks] + [f"        out[i] += c{last}", "    return out"]
+    exec("\n".join(lines), namespace := {})
+    return namespace["fold"]
 
 
 def _float_terms(items: Iterable[tuple[Key, Value]]) -> list[tuple[int, float, Key]]:
@@ -92,7 +99,7 @@ def _float_terms(items: Iterable[tuple[Key, Value]]) -> list[tuple[int, float, K
 
 def _float_contract(terms: list[tuple[int, float, Key]], x: Sequence) -> list[float]:
     """Fold prebuilt float terms against x, as apply does for float input."""
-    return _fold(terms, [0.0, *map(float, x)], 0.0)[1:]
+    return _fold(len(terms[0][2]) if terms else 0)(terms, [0.0, *map(float, x)], 0.0)[1:]
 
 
 def _contract(items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Sequence) -> list:
@@ -107,15 +114,22 @@ def _contract(items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Seque
         x = [1] * dim
     if not _rational(v for _, v in items) or not _rational(x):
         return _float_contract(_float_terms(items), x)
-    # over common denominators the fold adds Python integers; one Fraction per index at the end
-    value_den = math.lcm(*(v.denominator for _, v in items))
-    x_den = math.lcm(*(c.denominator for c in x))
-    scaled = ((key, v.numerator * (value_den // v.denominator)) for key, v in items)
-    terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
-    sums = _fold(terms, [0, *(c.numerator * (x_den // c.denominator) for c in x)], 0)
-    scale = value_den * x_den ** (order - 1)
+    sums, _, _, scale = _exact_sums(items, order, x)
     zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
     return [Fraction(s, scale) if s else zero for s in sums[1:]]
+
+
+def _exact_sums(items: list[tuple[Key, Value]], order: int, x: Sequence) -> tuple[list, list, int, int]:
+    """(sums, xs, value_den, scale): the exact contraction in integers, component i = sums[i] / scale.
+
+    xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
+    """
+    value_den = math.lcm(*(v.denominator for _, v in items))
+    x_den = math.lcm(*(c.denominator for c in x))
+    xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
+    scaled = ((key, v.numerator * (value_den // v.denominator)) for key, v in items)
+    terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
+    return _fold(order - 1)(terms, xs, 0), xs, value_den, value_den * x_den ** (order - 1)
 
 
 def _rational(values: Iterable) -> bool:
@@ -171,10 +185,25 @@ def _slice_list(items: Iterable[tuple[Key, Value]], order: int, dim: int) -> lis
 def format_value(v: Value) -> str:
     """Rationals as num/den (den 1 elided); floats with 12 significant digits."""
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+        try:
+            return str(v)  # num/den, or num alone when den is 1
+        except ValueError:  # a part is past the printing limit: _decimal names it
+            _decimal(v.numerator, "a value's numerator")
+            _decimal(v.denominator, "a value's denominator")
+            raise
     return f"{float(v):.12g}"
+
+
+def _decimal(n: int, what: str) -> str:
+    """str(n), or a ValueError naming ``what`` and its digit count past the printing limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
+    if limit and n.bit_length() > limit * 3.32:  # 10**limit has more bits, so shorter n print
+        digits = int((n.bit_length() - 1) * math.log10(2)) - 1  # below the digit count
+        while abs(n) >= 10**digits:
+            digits += 1
+        if digits > limit:
+            raise ValueError(f"{what} has {digits} digits, above the limit of {limit} digits for printing an integer")
+    return str(n)
 
 
 def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, length: str) -> dict:

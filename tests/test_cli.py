@@ -572,6 +572,37 @@ class TestClosedFormProbes:
         assert (code, out) == (1, "")
         assert err == "error: the banerjee tensor needs 77558761 keys, above the cap of 1000000\n"
 
+    def test_eig_of_one_edge_of_3000_vertices(self, capsys, monkeypatch):
+        # 2999 factors per product: one unchunked expression of them fails to compile before 3.13
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3000\n" + " ".join(map(str, range(1, 3001))) + "\n"))
+        code, out, err = self.run_timed(capsys, "eig", "-", budget=10.0)
+        head = "converged=true\niterations=1\nlambda=1\nbracket_low=1\nbracket_high=1\nbracket_width=0\nresidual=0\n"
+        ones = "".join(f"x_{i}=1\n" for i in range(1, 3001))
+        assert (code, err) == (0, "")
+        assert out == head + ones + "".join(f"x_{i}=0\n" for i in range(3001, 6000))
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("tensor", "a value's denominator has 5077 digits"),
+            ("tensor --model banerjee", "a value's denominator has 5077 digits"),
+            ("compare", "layered_total_elements has 6402 digits"),
+        ],
+    )
+    def test_values_beyond_the_printing_limit(self, capsys, monkeypatch, command, message):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        # the layered value 1/1799! and the 3599^1800 positions are past 4300 digits
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1800\n" + " ".join(map(str, range(1, 1801))) + "\n"))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        try:
+            code, out, err = self.run_timed(capsys, *command.split(), "-", budget=10.0)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}, above the limit of 4300 digits for printing an integer\n"
+
     def test_cardinalities_of_a_wide_sparse_input(self, capsys, monkeypatch):
         # one edge among 300 000 000 vertices: only the touched slices are summed
         monkeypatch.setattr(sys, "stdin", io.StringIO("300000000\n1 2\n"))

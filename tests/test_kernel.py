@@ -152,10 +152,12 @@ def banerjee_tensors(draw):
 
 
 @KERNEL
-@given(banerjee_tensors())
-def test_banerjee_tensors_of_high_order(t):
+@given(banerjee_tensors(), st.data())
+def test_banerjee_tensors_of_high_order(t, data):
     assert 5 <= t.order <= 8
     assert_matches_reference(t)
+    for x in (data.draw(vectors(t, rationals)), data.draw(vectors(t, floats))):
+        assert t.apply(x) == reference_apply(t, x)
     assert t.nnz_positions() == sum(_arrangements(key) for key in t.entries)
     expected = {key: value * _arrangements(key) for key, value in t.entries.items()}
     assert poly_from_tensor(t).monomials == expected
@@ -222,6 +224,13 @@ def test_float_apply_is_bit_identical(data):
     assert applied == reference_apply(t, x)
     if t.order > 1:
         assert all(type(v) is float for v in applied)
+
+
+def test_apply_of_order_3000():
+    # two terms of 2999 factors each: one expression of them fails to compile before 3.13
+    t = SymTensor(3000, 2, {(1,) * 1500 + (2,) * 1500: Fraction(1, 7)})
+    x = [Fraction(2, 3), Fraction(-1, 2)]
+    assert t.apply(x) == reference_apply(t, x)
 
 
 def _reference_int(value, what: str) -> int:

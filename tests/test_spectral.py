@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgtensor import (
     Hypergraph,
@@ -14,15 +16,57 @@ from hgtensor import (
     gershgorin_disks,
     graph_consistency_check,
     layer_tensor_degree_normalized,
+    laplacian,
     layer_tensor_raw,
     parse_hypergraph,
     power_iteration,
     spectral_bound,
+    symtensor,
 )
 
 from conftest import random_hypergraph, random_uniform_hypergraph
 
 K3 = "3\n1 2\n2 3\n1 3\n"
+
+exact = st.integers(-4, 4) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def eigen_cases(draw):
+    """(tensor, value, x, tol): exact values, some Laplacians, x with zeros; dim 0 included."""
+    order, dim = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    key = st.lists(st.integers(1, dim), min_size=order, max_size=order)
+    keys = draw(st.lists(key, max_size=8)) if dim else []
+    t = SymTensor(order, dim, {tuple(sorted(k)): draw(exact) for k in keys})
+    if draw(st.booleans()):
+        t = laplacian(t, draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim)))
+    x = draw(st.lists(exact | st.just(0), min_size=dim, max_size=dim))
+    return t, draw(exact), x, draw(st.sampled_from([0, Fraction(1, 2), 3]))
+
+
+def reference_check(t: SymTensor, value, x, tol):
+    """The residual loop over apply's Fractions, one subtraction, product and power per index."""
+    contracted = t.apply(x)
+    residual = max(
+        (abs(contracted[i] - value * x[i] ** (t.order - 1)) for i in range(t.dim)),
+        default=Fraction(0),
+    )
+    threshold = tol * (1 + abs(value))
+    return residual, threshold, residual <= threshold
+
+
+def reference_fold(width: int):
+    """The per-index product loop, in the shape of symtensor._fold."""
+
+    def fold(terms, xs, zero):
+        out = [zero] * len(xs)
+        for i, product, rest in terms:
+            for j in rest:
+                product *= xs[j]
+            out[i] += product
+        return out
+
+    return fold
 
 
 @pytest.fixture
@@ -59,6 +103,21 @@ class TestCheckEigenpair:
         assert check_eigenpair(shifted, alpha * 2 + beta, ones).passed
         axis = [Fraction(0)] * 3 + [Fraction(1)]
         assert check_eigenpair(shifted, beta, axis).passed
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(eigen_cases())
+    def test_exact_residual_matches_the_fraction_loop(self, case):
+        t, value, x, tol = case
+        for v in (value, float(value)):
+            check = check_eigenpair(t, v, x, tol)
+            got = (check.residual, check.threshold, check.passed)
+            expected = reference_check(t, v, x, tol)
+            assert got == expected
+            assert [type(g) for g in got] == [type(e) for e in expected]
+        if t.dim:  # against an exact tensor, a float value keeps a float residual
+            assert type(check.residual) is float
+        assert type(check_eigenpair(t, value, x, tol).residual) is Fraction
 
 
 class TestGershgorin:
@@ -181,6 +240,14 @@ class TestPowerIteration:
             pair = power_iteration(e_adjacency_tensor(h), max_iter=300)
             assert pair.value <= spectral_bound(h).bound + 1e-8
             checked += 1
+
+    def test_generated_fold_matches_the_per_index_loop(self, monkeypatch):
+        h = random_hypergraph(random.Random(727), max_n=60, max_k=5, max_edges=150)
+        assert (h.n, h.p, h.k_max) == (57, 136, 5)
+        t = e_adjacency_tensor(h)
+        pair = power_iteration(t)
+        monkeypatch.setattr(symtensor, "_fold", reference_fold)
+        assert power_iteration(t) == pair
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order at least 2"):
