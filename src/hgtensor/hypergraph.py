@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress, islice, repeat, tee
 from typing import IO, Iterable
 
 Edge = frozenset[int]
@@ -80,29 +80,11 @@ def unit_weights(h: Hypergraph) -> WeightedHypergraph:
     return WeightedHypergraph(h, (Fraction(1),) * h.p)
 
 
-def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
-    """Parse the HG v1 text format.
-
-    Lines starting with ``#`` and blank lines are not significant.  The first
-    significant line is the vertex count n; every later significant line is
-    one hyperedge given as distinct vertex indices in [1, n].
-    """
-    text = source if isinstance(source, str) else source.read()
-    n: int | None = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _first_fault(text: str, start: int, n: int) -> None:
+    """Raise the message of the first faulty line after the header, in file order."""
+    for lineno, raw in enumerate(islice(text.splitlines(), start, None), start + 1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
-            continue
-        if n is None:
-            if len(tokens) != 1:
-                raise ValueError(f"line {lineno}: header must be a single integer")
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed vertex count {tokens[0]!r}") from None
-            if n < 0:
-                raise ValueError(f"line {lineno}: vertex count must be nonnegative")
             continue
         try:
             edge = frozenset(map(int, tokens))
@@ -110,14 +92,56 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
             raise ValueError(f"line {lineno}: malformed vertex index") from None
         if len(edge) != len(tokens):
             raise ValueError(f"line {lineno}: duplicate vertex within hyperedge")
-        if min(edge) < 1 or max(edge) > n:
-            try:
-                _as_edge(edge, n)  # raises, naming the vertex it rejects
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        edges.append(edge)
-    if n is None:
+        try:
+            _as_edge(edge, n)  # raises, naming the vertex it rejects
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
+    """Parse the HG v1 text format.
+
+    One leading byte-order mark is dropped.  Lines starting with ``#`` and
+    blank lines are not significant.  The first significant line is the
+    vertex count n; every later significant line is one hyperedge given as
+    distinct vertex indices in [1, n].  A faulty text is refused with the
+    message of its first faulty line; a duplicate edge is named only when
+    every line passes.
+    """
+    text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
+    lines = iter(text.splitlines())  # the list is freed once the edges are read
+    for start, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            break
+    else:
         raise ValueError("missing header: expected a vertex count line")
+    if len(tokens) != 1:
+        raise ValueError(f"line {start}: header must be a single integer")
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"line {start}: malformed vertex count {tokens[0]!r}") from None
+    if n < 0:
+        raise ValueError(f"line {start}: vertex count must be nonnegative")
+    if "#" in text:
+        rows = (tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#")
+    else:
+        rows = filter(None, map(str.split, lines))
+    # compress steps both copies together and keeps every row, as each running
+    # token count is positive; the trailing 0 leaves the total for one more next()
+    rows, counted = tee(rows)
+    totals = accumulate(chain(map(len, counted), (0,)))
+    try:
+        edges = list(map(frozenset, map(map, repeat(int), compress(rows, totals))))
+    except ValueError:
+        _first_fault(text, start, n)
+        raise
+    vertices = frozenset().union(*edges)
+    # a line with a repeated vertex has fewer vertices than tokens
+    if next(totals) != sum(map(len, edges)) or min(vertices, default=1) < 1 or max(vertices, default=n) > n:
+        _first_fault(text, start, n)
+    del vertices
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate hyperedge in edge family")
     return _trusted(Hypergraph, n, tuple(edges))

@@ -51,6 +51,20 @@ class TestInfo:
         assert code == 0
         assert out == "n=3\nedges=3\nk_max=2\nsize_1=0\nsize_2=3\n"
 
+    def test_byte_order_mark_on_stdin(self):
+        # files are read the same way: tests/data/sample_bom.hg has a golden for every command
+        result = subprocess.run(
+            [sys.executable, "-m", "hgtensor.cli", "info", "-"],
+            input=b"\xef\xbb\xbf3\n1 2\n",
+            env={**CHILD_ENV, "PYTHONIOENCODING": "utf-8"},
+            capture_output=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0,
+            b"n=3\nedges=1\nk_max=2\nsize_1=0\nsize_2=1\n",
+            b"",
+        )
+
 
 class TestLayers:
     def test_sample_keeps_file_order_inside_each_layer(self, capsys):
