@@ -88,7 +88,7 @@ def hg_texts(draw) -> str:
 
 
 class TestAgainstReference:
-    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(hg_texts() | st.text(alphabet=" \t\n\r\x0c\x1c#-+_x01239٣\ufeff", max_size=40))
     def test_same_hypergraph_or_same_message(self, text):
         assert_same_outcome(text)
