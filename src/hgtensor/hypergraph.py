@@ -92,10 +92,11 @@ def _first_fault(text: str, start: int, n: int) -> None:
             raise ValueError(f"line {lineno}: malformed vertex index") from None
         if len(edge) != len(tokens):
             raise ValueError(f"line {lineno}: duplicate vertex within hyperedge")
-        try:
-            _as_edge(edge, n)  # raises, naming the vertex it rejects
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        if min(edge) < 1 or max(edge) > n:
+            try:
+                _as_edge(edge, n)  # raises, naming the vertex it rejects
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
@@ -124,10 +125,7 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
         raise ValueError(f"line {start}: malformed vertex count {tokens[0]!r}") from None
     if n < 0:
         raise ValueError(f"line {start}: vertex count must be nonnegative")
-    if "#" in text:
-        rows = (tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#")
-    else:
-        rows = filter(None, map(str.split, lines))
+    rows = (tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#")
     # compress steps both copies together and keeps every row, as each running
     # token count is positive; the trailing 0 leaves the total for one more next()
     rows, counted = tee(rows)
