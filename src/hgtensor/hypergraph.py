@@ -125,7 +125,10 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
         raise ValueError(f"line {start}: malformed vertex count {tokens[0]!r}") from None
     if n < 0:
         raise ValueError(f"line {start}: vertex count must be nonnegative")
-    rows = (tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#")
+    if "#" in text:
+        rows = (tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#")
+    else:
+        rows = filter(None, map(str.split, lines))
     # compress steps both copies together and keeps every row, as each running
     # token count is positive; the trailing 0 leaves the total for one more next()
     rows, counted = tee(rows)
