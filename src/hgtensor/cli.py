@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import math
 import os
-import re
 import sys
 
 from .banerjee import banerjee_alpha, banerjee_tensor, compare_tensors, partitions_count
@@ -77,23 +76,21 @@ def _report(pairs) -> None:
     print("\n".join(f"{name}={_text(name, value)}" for name, value in pairs))
 
 
-def _cmd_info(h: Hypergraph, args) -> int:
+def _cmd_info(h: Hypergraph, args) -> None:
     pairs = [("n", h.n), ("edges", h.p), ("k_max", h.k_max)]
     if h.p:
         dec = decompose(h)
         pairs += [(f"size_{k}", dec.layer(k).p) for k in range(1, dec.k_max + 1)]
     _report(pairs)
-    return EX_OK
 
 
-def _cmd_layers(h: Hypergraph, args) -> int:
+def _cmd_layers(h: Hypergraph, args) -> None:
     for k, layer in enumerate(decompose(h).layers, start=1):
         print(f"layer {k}: {layer.p} {'edge' if layer.p == 1 else 'edges'}")
         _write_lines("  " + line for line in _edge_lines(sorted(e) for e in layer.edges))
-    return EX_OK
 
 
-def _cmd_tensor(h: Hypergraph, args) -> int:
+def _cmd_tensor(h: Hypergraph, args) -> None:
     if args.layer is not None:
         if args.model is not None:
             raise _UsageError("--layer and --model are mutually exclusive")
@@ -108,32 +105,26 @@ def _cmd_tensor(h: Hypergraph, args) -> int:
         model = args.model or "layered"
         t = e_adjacency_tensor(h) if model == "layered" else banerjee_tensor(h)
     _write_lines(t._coo_lines())
-    return EX_OK
 
 
-def _cmd_poly(h: Hypergraph, args) -> int:
+def _cmd_poly(h: Hypergraph, args) -> None:
     poly = hypergraph_polynomial(h, args.policy)
-    lines = [f"poly v1 degree={poly.degree} vars={poly.var_count}"]
-    for key in sorted(poly.monomials):
-        variables = "*".join(
-            f"z_{i}" if i <= h.n else f"y_{i - h.n}" for i in key
-        )
-        lines.append(f"{format_value(poly.monomials[key])} * {variables}")
-    print("\n".join(lines))
-    return EX_OK
+    monomials = (
+        format_value(c) + " * " + "*".join(f"z_{i}" if i <= h.n else f"y_{i - h.n}" for i in key) + "\n"
+        for key, c in sorted(poly.monomials.items())
+    )
+    _write_lines(itertools.chain([f"poly v1 degree={poly.degree} vars={poly.var_count}\n"], monomials))
 
 
-def _cmd_degrees(h: Hypergraph, args) -> int:
+def _cmd_degrees(h: Hypergraph, args) -> None:
     degrees = vertex_degrees_from_tensor(e_adjacency_tensor(h), h.n)
     _write_lines(f"{i} {d}\n" for i, d in enumerate(degrees, start=1))
-    return EX_OK
 
 
-def _cmd_cardinalities(h: Hypergraph, args) -> int:
+def _cmd_cardinalities(h: Hypergraph, args) -> None:
     cumulative, per_size = layer_counts_from_tensor(e_adjacency_tensor(h), h.n)
     pairs = [(f"cumulative_{j}", c) for j, c in enumerate(cumulative, start=1)]
     _report(pairs + [(f"size_{j}", c) for j, c in enumerate(per_size, start=1)])
-    return EX_OK
 
 
 def _edge_lines(edges):
@@ -141,27 +132,24 @@ def _edge_lines(edges):
     return (" ".join(map(str, e)) + "\n" for e in edges)
 
 
-def _cmd_reconstruct(h: Hypergraph, args) -> int:
+def _cmd_reconstruct(h: Hypergraph, args) -> None:
     rebuilt = reconstruct(e_adjacency_tensor(h), h.n)
     print(rebuilt.n)
     _write_lines(_edge_lines(sorted(e) for e in rebuilt.edges))
-    return EX_OK
 
 
-def _cmd_dnf(h: Hypergraph, args) -> int:
+def _cmd_dnf(h: Hypergraph, args) -> None:
     edges = dnf_extract(e_adjacency_tensor(h), h.n, args.size)
     _write_lines(_edge_lines(sorted(tuple(sorted(e)) for e in edges)))
-    return EX_OK
 
 
-def _cmd_partitions(h: None, args) -> int:
+def _cmd_partitions(h: None, args) -> None:
     if args.m < 1 or args.s < 1:
         raise ValueError("m and s must be positive")
     print(partitions_count(args.m, args.s))
-    return EX_OK
 
 
-def _cmd_alpha(h: None, args) -> int:
+def _cmd_alpha(h: None, args) -> None:
     k, s = args.k, args.s
     limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
     if limit and 1 <= s <= k:  # out of range, banerjee_alpha names the range
@@ -172,38 +160,35 @@ def _cmd_alpha(h: None, args) -> int:
             raise ValueError(f"alpha({k}, {s}) has at least {digits} digits, {too_long}")
     # the estimate can fall short: _decimal still names the digit count
     print(_decimal(banerjee_alpha(k, s), f"alpha({k}, {s})"))
-    return EX_OK
 
 
-def _cmd_compare(h: Hypergraph, args) -> int:
+def _cmd_compare(h: Hypergraph, args) -> None:
     report = compare_tensors(h)
-    pairs = []
+    models = ("layered", "banerjee")
+    lines, table = [], {}  # table: metric -> {model: cell}
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
+        model, _, metric = field.name.partition("_")  # an unprefixed name is shared
         per_size = value.items() if isinstance(value, dict) else [(None, value)]
         for s, v in per_size:
-            pairs.append((field.name if s is None else f"{field.name[:-1]}_size_{s}", v))
+            name = field.name if s is None else f"{field.name[:-1]}_size_{s}"
+            label = (metric or model) if s is None else f"{metric[:-1]}[s={s}]"
+            cell = _text(name, v)
+            lines.append(f"{name}={cell}")
+            table.setdefault(label, {}).update(dict.fromkeys([model] if metric else models, cell))
     if args.format == "keyvalue":
-        _report(pairs)
-        return EX_OK
-    models = ("layered", "banerjee")
-    table: dict[str, dict[str, str]] = {}  # metric -> {model: cell}
-    for name, value in pairs:
-        model, _, metric = name.partition("_")  # an unprefixed name is shared
-        row = table.setdefault(re.sub(r"_size_(\d+)$", r"[s=\1]", metric or model), {})
-        row.update(dict.fromkeys([model] if metric else models, _text(name, value)))
+        print("\n".join(lines))
+        return
     rows = [["metric", *models]]
     rows += [[metric, *(row.get(m, "-") for m in models)] for metric, row in table.items()]
     widths = [max(len(row[c]) for row in rows) for c in range(3)]
     for row in rows:
         print(row[0].ljust(widths[0]), *(cell.rjust(w) for cell, w in zip(row[1:], widths[1:])), sep="  ")
-    return EX_OK
 
 
-def _cmd_bound(h: Hypergraph, args) -> int:
+def _cmd_bound(h: Hypergraph, args) -> None:
     delta, delta_star, bound = _degree_bound(h)
     _report([("delta", delta), ("delta_star", delta_star), ("bound", bound)])
-    return EX_OK
 
 
 def _cmd_eig(h: Hypergraph, args) -> int:
@@ -223,17 +208,8 @@ def _cmd_eig(h: Hypergraph, args) -> int:
 
 def _cmd_graph_check(h: Hypergraph, args) -> int:
     report = graph_consistency_check(h)
-    pairs = [
-        ("c2", report.c2),
-        ("block_ok", report.block_ok),
-        ("graph_lambda", report.graph_value),
-        ("layered_lambda", report.layered_value),
-        ("graph_converged", report.graph_converged),
-        ("layered_converged", report.layered_converged),
-        ("relation_ok", report.relation_ok),
-        ("zero_eigenpair_ok", report.zero_eigenpair_ok),
-    ]
-    _report(pairs)
+    # the two eigenvalue fields print as graph_lambda and layered_lambda
+    _report((f.name.replace("_value", "_lambda"), getattr(report, f.name)) for f in dataclasses.fields(report))
     return EX_OK if report.graph_converged and report.layered_converged else EX_NO_CONVERGENCE
 
 
@@ -306,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         h = _read_hypergraph(args.path) if "path" in args else None
-        code = args.run(h, args)
+        code = args.run(h, args) or EX_OK
         sys.stdout.flush()  # a closed stdout fails here, inside the try, not at exit
         return code
     except _UsageError as exc:

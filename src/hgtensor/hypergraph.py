@@ -135,12 +135,11 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     totals = accumulate(chain(map(len, counted), (0,)))
     try:
         edges = list(map(frozenset, map(map, repeat(int), compress(rows, totals))))
-    except ValueError:
-        _first_fault(text, start, n)
-        raise
-    vertices = frozenset().union(*edges)
-    # a line with a repeated vertex has fewer vertices than tokens
-    if next(totals) != sum(map(len, edges)) or min(vertices, default=1) < 1 or max(vertices, default=n) > n:
+        vertices = frozenset().union(*edges)
+        # a line with a repeated vertex has fewer vertices than tokens
+        if next(totals) != sum(map(len, edges)) or min(vertices, default=1) < 1 or max(vertices, default=n) > n:
+            raise ValueError
+    except ValueError:  # a malformed, repeated or out-of-range vertex: the walk names its line
         _first_fault(text, start, n)
     del vertices
     if len(set(edges)) != len(edges):

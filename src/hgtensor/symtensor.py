@@ -102,21 +102,11 @@ def _float_contract(terms: list[tuple[int, float, Key]], x: Sequence) -> list[fl
     return _fold(len(terms[0][2]) if terms else 0)(terms, [0.0, *map(float, x)], 0.0)[1:]
 
 
-def _contract(items: Iterable[tuple[Key, Value]], order: int, dim: int, x: Sequence) -> list:
-    """Per-index sums of value * arrangements * prod(x[rest]) over the walk of ``items``.
-
-    Exact (Fractions) when every value and every x component is rational;
-    otherwise in floats, adding terms in the order of ``items``.  At order 1
-    every rest is empty, so x takes no part.
-    """
-    items = list(items)
-    if order == 1:
-        x = [1] * dim
-    if not _rational(v for _, v in items) or not _rational(x):
-        return _float_contract(_float_terms(items), x)
-    sums, _, _, scale = _exact_sums(items, order, x)
-    zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
-    return [Fraction(s, scale) if s else zero for s in sums[1:]]
+def _over_common_denominator(values: Iterable[Value]) -> tuple[dict[int, int], int]:
+    """({id(v): numerator}, den): rational values over their common denominator, each object scaled once."""
+    distinct = {id(v): v for v in values}
+    den = math.lcm(*(v.denominator for v in distinct.values()))
+    return {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}, den
 
 
 def _exact_sums(items: list[tuple[Key, Value]], order: int, x: Sequence) -> tuple[list, list, int, int]:
@@ -124,10 +114,10 @@ def _exact_sums(items: list[tuple[Key, Value]], order: int, x: Sequence) -> tupl
 
     xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
     """
-    value_den = math.lcm(*(v.denominator for _, v in items))
+    numerators, value_den = _over_common_denominator(v for _, v in items)
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
-    scaled = ((key, v.numerator * (value_den // v.denominator)) for key, v in items)
+    scaled = ((key, numerators[id(v)]) for key, v in items)
     terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
     return _fold(order - 1)(terms, xs, 0), xs, value_den, value_den * x_den ** (order - 1)
 
@@ -156,11 +146,9 @@ def _slice_numerators(
         for i, coefficient, _ in _float_terms(items):
             sums[i] = get(i, 0.0) + coefficient
         return sums, None
-    values = {id(v): v for _, v in items}  # keys share a few value objects: scale each once
-    den = math.lcm(*(v.denominator for v in values.values()))
-    scale = {i: v.numerator * (den // v.denominator) for i, v in values.items()}
+    numerators, den = _over_common_denominator(v for _, v in items)
     for key, value in items:
-        v = scale[id(value)] * multiplicity_weight(key)
+        v = numerators[id(value)] * multiplicity_weight(key)
         for i in key:
             sums[i] = get(i, 0) + v
     return sums, den * order
@@ -196,14 +184,14 @@ def format_value(v: Value) -> str:
 
 def _decimal(n: int, what: str) -> str:
     """str(n), or a ValueError naming ``what`` and its digit count past the printing limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # Pythons before 3.10.7 have no limit
-    if limit and n.bit_length() > limit * 3.32:  # 10**limit has more bits, so shorter n print
+    try:
+        return str(n)
+    except ValueError:
         digits = int((n.bit_length() - 1) * math.log10(2)) - 1  # below the digit count
         while abs(n) >= 10**digits:
             digits += 1
-        if digits > limit:
-            raise ValueError(f"{what} has {digits} digits, above the limit of {limit} digits for printing an integer")
-    return str(n)
+        too_long = f"above the limit of {sys.get_int_max_str_digits()} digits for printing an integer"
+        raise ValueError(f"{what} has {digits} digits, {too_long}") from None
 
 
 def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, length: str) -> dict:
@@ -297,7 +285,13 @@ class SymTensor:
         """
         if len(x) != self.dim:
             raise ValueError(f"vector length {len(x)} does not match dim {self.dim}")
-        return _contract(self.canonical_items(), self.order, self.dim, x)
+        if self.order == 1:  # every rest is empty: x takes no part
+            x = [1] * self.dim
+        if not _rational(self.entries.values()) or not _rational(x):
+            return _float_contract(_float_terms(self.canonical_items()), x)  # floats add in key order
+        sums, _, _, scale = _exact_sums(list(self.entries.items()), self.order, x)
+        zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
+        return [Fraction(s, scale) if s else zero for s in sums[1:]]
 
     def scale_add_identity(self, alpha: Value, beta: Value) -> SymTensor:
         """Return alpha * self + beta * I, with I the diagonal identity."""
@@ -344,8 +338,9 @@ def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
 def layer_tensor_raw(hk: Hypergraph, k: int | None = None) -> SymTensor:
     """Order-k tensor with value 1 at each edge's canonical key."""
     k = _uniform_cardinality(hk, k)
-    entries = {tuple(sorted(e)): Fraction(1) for e in hk.edges}
-    return SymTensor(k, hk.n, entries)
+    entries = dict.fromkeys((tuple(sorted(e)) for e in hk.edges), Fraction(1))
+    # distinct edges give distinct keys; only an edgeless hypergraph's given k is left to check
+    return _trusted(SymTensor, k, hk.n, entries) if entries else SymTensor(k, hk.n, entries)
 
 
 def layer_tensor_degree_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:

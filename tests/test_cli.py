@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -182,6 +183,23 @@ class TestPoly:
             "1 * z_5*y_1*y_2\n"
             "2 * z_6*z_7*y_2\n"
         )
+
+
+    def test_monomials_stream_a_few_thousand_lines_per_write(self, monkeypatch):
+        edges = itertools.islice(itertools.combinations(range(1, 151), 2), 10_000)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("150\n" + "".join(f"{u} {v}\n" for u, v in edges)))
+        writes: list[str] = []
+
+        class Recorder(io.StringIO):
+            def write(self, text: str) -> int:
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["poly", "-"]) == 0
+        lines = [text.count("\n") for text in writes]
+        assert sum(lines) == 10_001  # the header and one line per monomial
+        assert max(lines) <= 4096
 
 
 class TestRetrievalCommands:

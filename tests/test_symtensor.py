@@ -179,6 +179,8 @@ class TestLayerTensors:
         assert t.entries == {} and t.order == 3
         with pytest.raises(ValueError, match="must be given"):
             layer_tensor_raw(empty)
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            layer_tensor_raw(empty, 0)
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError, match="not 3-uniform"):

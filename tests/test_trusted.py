@@ -29,6 +29,7 @@ from hgtensor import (
     direct_sum,
     dnf_extract,
     e_adjacency_tensor,
+    graph_consistency_check,
     hypergraph_polynomial,
     layer_counts_from_tensor,
     layer_tensor_degree_normalized,
@@ -196,3 +197,7 @@ class TestValidatedOnce:
         assert h.k_max == 6
         hypergraph_polynomial(h)
         assert calls == {}  # no layer tensor, homogenization step or scaling validates again
+
+    def test_graph_check(self, calls):
+        graph_consistency_check(parse_hypergraph("5\n1 2\n2 3\n3 4\n4 5\n1 5\n1 3\n"))
+        assert calls["_canonical"] == 0  # the raw 2-layer tensor is canonical by construction
