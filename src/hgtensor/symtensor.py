@@ -329,6 +329,8 @@ def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
     if inferred is None:
         if k is None:
             raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
+        if k < 1:
+            raise ValueError("tensor order must be at least 1")
         return k
     if k is not None and k != inferred:
         raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")
@@ -338,9 +340,8 @@ def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
 def layer_tensor_raw(hk: Hypergraph, k: int | None = None) -> SymTensor:
     """Order-k tensor with value 1 at each edge's canonical key."""
     k = _uniform_cardinality(hk, k)
-    entries = dict.fromkeys((tuple(sorted(e)) for e in hk.edges), Fraction(1))
-    # distinct edges give distinct keys; only an edgeless hypergraph's given k is left to check
-    return _trusted(SymTensor, k, hk.n, entries) if entries else SymTensor(k, hk.n, entries)
+    # the edges of a validated uniform hypergraph give distinct canonical keys
+    return _trusted(SymTensor, k, hk.n, dict.fromkeys((tuple(sorted(e)) for e in hk.edges), Fraction(1)))
 
 
 def layer_tensor_degree_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:

@@ -184,6 +184,20 @@ class TestPoly:
             "2 * z_6*z_7*y_2\n"
         )
 
+    @pytest.mark.parametrize("policy", ["handshake", "unit"])
+    def test_no_coefficient_past_the_first_write_can_fail_to_print(self, policy, capsys, monkeypatch):
+        # every coefficient is k_max (handshake) or the edge size (unit), so a monomial
+        # written after the first chunk never meets the integer printing limit
+        big = range(2, 42)  # its monomial sorts after the 4200 pairs {1, j}
+        text = "4300\n" + "".join(f"1 {j}\n" for j in range(2, 4202)) + " ".join(map(str, big)) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["poly", "--policy", policy, "-"]) == 0
+        header, *monomials = capsys.readouterr().out.splitlines()
+        assert header == "poly v1 degree=40 vars=4339" and len(monomials) == 4201
+        sizes = [2] * 4200 + [40]
+        assert [int(line.split(" * ")[0]) for line in monomials] == (
+            [40] * 4201 if policy == "handshake" else sizes
+        )
 
     def test_monomials_stream_a_few_thousand_lines_per_write(self, monkeypatch):
         edges = itertools.islice(itertools.combinations(range(1, 151), 2), 10_000)

@@ -179,8 +179,10 @@ class TestLayerTensors:
         assert t.entries == {} and t.order == 3
         with pytest.raises(ValueError, match="must be given"):
             layer_tensor_raw(empty)
-        with pytest.raises(ValueError, match="order must be at least 1"):
-            layer_tensor_raw(empty, 0)
+        for builder in (layer_tensor_raw, layer_tensor_degree_normalized, layer_tensor_eigen_normalized):
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="order must be at least 1"):
+                    builder(empty, k)
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError, match="not 3-uniform"):
