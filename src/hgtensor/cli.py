@@ -99,8 +99,10 @@ def _cmd_tensor(h: Hypergraph, args) -> None:
             "raw": layer_tensor_raw,
             "degree": layer_tensor_degree_normalized,
             "eigen": layer_tensor_eigen_normalized,
-        }[args.normalization]
+        }[args.normalization or "degree"]
         t = builder(dec.layer(args.layer), args.layer)
+    elif args.normalization is not None:
+        raise _UsageError("--normalization needs --layer")
     else:
         model = args.model or "layered"
         t = e_adjacency_tensor(h) if model == "layered" else banerjee_tensor(h)
@@ -227,7 +229,7 @@ def _build_parser() -> _Parser:
     tensor = with_path(sub.add_parser("tensor", help="tensor in COO text form"))
     tensor.add_argument("--model", choices=("layered", "banerjee"), default=None)
     tensor.add_argument("--layer", type=int, default=None, help="emit one layer's tensor instead")
-    tensor.add_argument("--normalization", choices=("raw", "degree", "eigen"), default="degree")
+    tensor.add_argument("--normalization", choices=("raw", "degree", "eigen"), help="with --layer; default degree")
     tensor.set_defaults(run=_cmd_tensor)
 
     poly = with_path(sub.add_parser("poly", help="homogenized polynomial"))

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .hypergraph import Hypergraph, _trusted
 from .layers import decompose
 from .symtensor import SymTensor, _canonical, layer_tensor_degree_normalized, multiplicity_weight
-from .uniformize import CoefficientPolicy, _layered_order, layer_coefficients, reconstruct
+from .uniformize import CoefficientPolicy, _layered_order, _padding_suffixes, layer_coefficients, reconstruct
 
 Monomial = tuple[int, ...]
 
@@ -125,20 +125,20 @@ def homogenize_step(
 def hypergraph_polynomial(
     h: Hypergraph, policy: CoefficientPolicy = "handshake"
 ) -> HomogeneousPolynomial:
-    """Homogenized polynomial of the whole hypergraph.
+    """Homogenized polynomial of degree k_max over n + k_max - 1 variables, one monomial per edge.
 
-    Starts from c_1 times the degree-normalized layer-1 polynomial and folds
-    in each further layer with one homogenization round, so the result has
-    degree k_max over n + k_max - 1 variables and carries exactly one
-    monomial per hyperedge.
+    With P_s the degree-normalized layer-s polynomial, the rounds of ``homogenize_step``,
+    r_{k+1} = y_{n+k} * r_k + c_{k+1} * P_{k+1} from r_1 = c_1 * P_1, unroll to
+    r = sum over s of c_s * P_s * y_{n+s} * ... * y_{n+k_max-1}: each layer takes its suffix once.
     """
     dec = decompose(h)
-    coefficients = layer_coefficients(policy, dec.k_max)
-    r = poly_from_tensor(layer_tensor_degree_normalized(dec.layer(1), 1)).scaled(coefficients[0])
-    for k in range(1, dec.k_max):
-        p_next = poly_from_tensor(layer_tensor_degree_normalized(dec.layer(k + 1), k + 1))
-        r = homogenize_step(r, p_next, coefficients[k], h.n + k)
-    return r
+    suffixes = _padding_suffixes(h.n, dec.k_max)
+    monomials: dict[Monomial, Fraction] = {}
+    for s, c in enumerate(layer_coefficients(policy, dec.k_max), start=1):
+        products: dict[int, Fraction] = {}  # by coefficient identity, as in homogenize_step
+        for key, v in poly_from_tensor(layer_tensor_degree_normalized(dec.layer(s), s)).monomials.items():
+            monomials[key + suffixes[s]] = products.get(id(v)) or products.setdefault(id(v), c * v)
+    return _trusted(HomogeneousPolynomial, dec.k_max, h.n + dec.k_max - 1, monomials)
 
 
 def _partial_padding_evaluation(

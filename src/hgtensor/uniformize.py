@@ -3,9 +3,10 @@
 A hypergraph with edge cardinalities up to k_max gains k_max - 1 special
 vertices, indexed n+1..n+k_max-1.  Every edge of size s is padded with the
 suffix {n+s, ..., n+k_max-1}, which records s in the padded edge itself and
-makes the construction reversible.  The iterative route builds the same
-family by augmenting and merging the weighted cardinality layers one step at
-a time; both routes feed the symmetric e-adjacency tensor.
+makes the construction reversible.  The paper's iterative route, rounds of
+``vertex_augment`` and ``merge`` over the weighted cardinality layers, gives the
+same family; ``layered_uniform`` builds it unrolled.  Both routes feed the
+symmetric e-adjacency tensor.
 """
 
 from __future__ import annotations
@@ -106,26 +107,21 @@ class LayeredUniform:
 
 
 def layered_uniform(h: Hypergraph, policy: CoefficientPolicy = "handshake") -> LayeredUniform:
-    """Uniformize by iterated augment-and-merge over the cardinality layers.
+    """Uniformize as iterated augment-and-merge over the cardinality layers would.
 
-    Start from the weighted 1-cardinality layer; at step k, augment the
-    running k-uniform result by the fresh vertex n+k and merge in the
-    (k+1)-cardinality layer.  After k_max - 1 steps every original edge of
-    size s has become e + {n+s, ..., n+k_max-1} with weight c_s.
+    Round k augments the running k-uniform family by the fresh vertex n+k and
+    merges in the weighted (k+1)-layer.  Unrolled, each edge e of size s becomes
+    e + {n+s, ..., n+k_max-1} with weight c_s, so each layer is padded once.
     """
     dec = decompose(h)
     coefficients = layer_coefficients(policy, dec.k_max)
-
-    def weighted_layer(k: int) -> WeightedHypergraph:
-        layer = dec.layer(k)
-        return WeightedHypergraph(layer, (coefficients[k - 1],) * layer.p)
-
-    current = weighted_layer(1)
-    for k in range(1, dec.k_max):
-        current = merge(vertex_augment(current, h.n + k), weighted_layer(k + 1))
-    # each merge appends the next layer, so edges end up stably sorted by size
+    suffixes = _padding_suffixes(h.n, dec.k_max)
+    edges = tuple(e.union(suffixes[s]) for s, layer in enumerate(dec.layers, start=1) for e in layer.edges)
+    weights = tuple(c for c, layer in zip(coefficients, dec.layers) for _ in layer.edges)
+    uniform = WeightedHypergraph(_trusted(Hypergraph, h.n + dec.k_max - 1, edges), weights)
+    # the layers come in size order, so the edges are stably sorted by size
     origin = sorted(range(1, h.p + 1), key=lambda i: len(h.edges[i - 1]))
-    return LayeredUniform(current, h.n, dec.k_max, tuple(origin))
+    return LayeredUniform(uniform, h.n, dec.k_max, tuple(origin))
 
 
 def tensor_from_layered_uniform(lu: LayeredUniform) -> SymTensor:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -148,6 +149,11 @@ class TestTensor:
         )
         assert code == 64
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("normalization", ["raw", "degree", "eigen"])
+    def test_normalization_needs_layer(self, capsys, normalization):
+        code, out, err = run_cli(capsys, "tensor", "--normalization", normalization, SAMPLE)
+        assert (code, out, err) == (64, "", "usage error: --normalization needs --layer\n")
 
     def test_missing_layer_is_a_data_error(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--layer", "9", SAMPLE)
@@ -662,6 +668,23 @@ class TestClosedFormProbes:
         code, out, _ = self.run_timed(capsys, "bound", "-")
         assert code == 0
         assert out == "delta=1\ndelta_star=0\nbound=1\n"
+
+    def test_poly_of_pairs_and_one_edge_of_400_vertices(self, capsys, monkeypatch):
+        # 399 padding variables: one homogenization round per variable re-tuples every
+        # earlier monomial, about 4 s; unrolled, each monomial takes its suffix once
+        rng = random.Random(1)
+        edges = {tuple(range(1, 401))}
+        while len(edges) < 2001:
+            edges.add(tuple(sorted(rng.sample(range(1, 401), 2))))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("400\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)))
+        code, out, err = self.run_timed(capsys, "poly", "-", budget=1.5)
+        assert (code, err) == (0, "")
+        header, *monomials = out.splitlines()
+        assert header == "poly v1 degree=400 vars=799" and len(monomials) == 2001
+        # handshake: c_s * s = 400 for every size s
+        assert monomials[0] == "400 * " + "*".join(f"z_{i}" for i in range(1, 401))
+        padding = "*".join(f"y_{j}" for j in range(2, 400))
+        assert all(m.startswith("400 * z_") and m.endswith(f"*{padding}") for m in monomials[1:])
 
     def test_degrees_of_a_wide_sparse_input(self):
         # 3 000 000 lines into a pipe, as a shell redirect sees them: one write per line took 10 s

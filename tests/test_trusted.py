@@ -84,8 +84,8 @@ class TestTrustedBuilders:
         parsed = parse_hypergraph(hg_text(h))
         assert parsed == h
         layers = decompose(h).layers
-        merged = layered_uniform(h).uniform.base  # the last merge, for k_max >= 2
-        results = [parsed, *layers, direct_sum(layers), two_section(h), merged]
+        padded = layered_uniform(h).uniform.base  # every layer padded with its suffix, unchecked
+        results = [parsed, *layers, direct_sum(layers), two_section(h), padded]
         results.append(reconstruct(e_adjacency_tensor(h), h.n))
         for g in results:
             assert_validated_equal(g)
