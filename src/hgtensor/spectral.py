@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import chain
 from typing import Sequence
 
 from .hypergraph import Hypergraph
-from .symtensor import SymTensor, _exact_sums, _float_contract, _float_terms, _rational, _slice_list, layer_tensor_raw
+from .symtensor import SymTensor, _exact_sums, _float_fold, _float_plan, _rational, _slice_list, layer_tensor_raw
 from .uniformize import e_adjacency_tensor
 
 
@@ -119,13 +120,16 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("tolerance must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if any(v < 0 for v in {id(v): v for v in t.entries.values()}.values()):  # one test per value object
+    values = {id(v): v for v in t.entries.values()}.values()  # one test per value object
+    if any(v < 0 for v in values):
         raise ValueError("power iteration needs a nonnegative tensor")
+    if any(not v < math.inf for v in values):  # NaN compares false, so only this test catches it
+        raise ValueError("power iteration needs finite values")
     support = sorted({i for key in t.entries for i in key})
     if not support:
         raise ValueError("power iteration needs a nonzero tensor")
 
-    terms = _float_terms(t.canonical_items())
+    plan = _float_plan(t.canonical_items(), m)
     x = [0.0] * t.dim
     for i in support:
         x[i - 1] = 1.0
@@ -133,7 +137,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     iterations = 0
     low = high = 0.0
     while True:
-        contracted = _float_contract(terms, x)
+        contracted = _float_fold(plan, [0.0, *x])[1:]
         ratios = [contracted[i - 1] / x[i - 1] ** (m - 1) for i in support]
         low, high = min(ratios), max(ratios)
         iterations += 1

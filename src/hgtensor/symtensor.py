@@ -18,13 +18,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
-_CHUNK = 64  # factors per product expression in _fold: Pythons 3.10-3.12 cannot compile ~3000
+_CHUNK = 64  # widest key _unrolled takes: its source grows as width², and ~3000 factors fail to compile
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
@@ -47,59 +48,80 @@ def multiplicity_weight(key: Sequence[int]) -> int:
     return weight
 
 
-def _leave_one_out(items: Iterable[tuple[Key, Value]]) -> Iterator[tuple[int, Value, int, Key]]:
-    """The leave-one-out walk behind slice sums, contraction and disk radii.
+def _targets(key: Key) -> Iterable[tuple[int, int]]:
+    """(position, arrangements) at the first position of each distinct index i of a sorted key.
 
-    For every canonical key and every distinct index i in it, yields
-    (i, value, arrangements, rest): rest is the key with one i removed, and
-    arrangements = w(key)·c_i/m is the number of dense positions
-    (i, i_2, ..., i_m) whose tail is an ordering of rest, with c_i the
-    multiplicity of i in the key.  Targets come in ascending order per key.
+    arrangements = w(key)·c_i/m, with c_i the multiplicity of i, is the number of dense
+    positions (i, i_2, ..., i_m) whose tail is an ordering of the key with one i removed.
     """
-    for key, value in items:
-        m = len(key)
-        weight = multiplicity_weight(key)
-        previous = 0
-        for pos, i in enumerate(key):
-            if i != previous:
-                previous = i
-                yield i, value, weight * key.count(i) // m, key[:pos] + key[pos + 1 :]
+    m = len(key)
+    if len(set(key)) == m:  # distinct indices: w(key)/m = (m−1)! at every position
+        return zip(range(m), repeat(math.factorial(m - 1)))
+    weight = multiplicity_weight(key)
+    return [(pos, weight * key.count(i) // m) for pos, i in enumerate(key) if key.index(i) == pos]
+
+
+def _float_coefficient(value: Value, arrangements: int) -> float:
+    """value * arrangements, rounded once to float."""
+    if isinstance(value, Fraction):
+        # int true division rounds correctly, so this equals float(value * arrangements)
+        return value.numerator * arrangements / value.denominator
+    return float(value * arrangements)
 
 
 @functools.cache
-def _fold(width: int):
-    """fold(terms, xs, zero) -> out: out[i] sums c * xs[j_1] * ... * xs[j_width] over terms (i, c, rest).
+def _unrolled(width: int):
+    """fold(entries, xs, out): adds c * xs[j_0] * ... (skipping j_i) ... to out[j_i] for each (key, c).
 
-    One loop per width unpacks each rest in its target; products go left to right, _CHUNK factors
-    per expression.  xs and out are indexed from 1 (slot 0 is padding).  Terms are added in the
-    order given, which is what fixes float results bit for bit.
+    One loop per width of keys with distinct indices unpacks the key and loads each xs[j] once;
+    each target's factors go left to right in key order, and the targets are taken in key order.
+    xs and out are indexed from 1 (slot 0 is padding).
     """
-    factors = [f" * xs[j{k}]" for k in range(width)]
-    *chunks, last = ["".join(factors[k : k + _CHUNK]) for k in range(0, width, _CHUNK)] or [""]
-    target = "".join(f"j{k}, " for k in range(width))
+    x = [f"x{k}" for k in range(width)]
     # the source is made from integers alone, as dataclasses makes __init__: no value enters it
-    lines = ["def fold(terms, xs, zero):", "    out = [zero] * len(xs)", f"    for i, c, ({target}) in terms:"]
-    lines += [f"        c = c{chunk}" for chunk in chunks] + [f"        out[i] += c{last}", "    return out"]
+    target = "".join(f"j{k}, " for k in range(width))
+    lines = ["def fold(entries, xs, out):", f"    for ({target}), c in entries:"]
+    lines += [f"        x{k} = xs[j{k}]" for k in range(width)]
+    lines += [f"        out[j{k}] += c{''.join(f' * {f}' for f in x[:k] + x[k + 1 :])}" for k in range(width)]
     exec("\n".join(lines), namespace := {})
     return namespace["fold"]
 
 
-def _float_terms(items: Iterable[tuple[Key, Value]]) -> list[tuple[int, float, Key]]:
-    """(target, value * arrangements rounded once to float, rest) per walk term."""
-    terms = []
-    for i, value, arrangements, rest in _leave_one_out(items):
-        if isinstance(value, Fraction):
-            # int true division rounds correctly, so this equals float(value * arrangements)
-            coefficient = value.numerator * arrangements / value.denominator
+def _fold_each(entries: list, xs: list[float], out: list[float]) -> None:
+    """The fold of the keys ``_unrolled`` does not take, each (key, [(pos, c_i), ...]): one math.prod per target."""
+    for key, targets in entries:
+        xk = [xs[j] for j in key]
+        for pos, c in targets:  # start=c multiplies the doubles left to right, as c * x * ... does
+            out[key[pos]] += math.prod(xk[:pos] + xk[pos + 1 :], start=c)
+
+
+def _float_plan(items: Iterable[tuple[Key, Value]], order: int) -> list[tuple[Callable, list]]:
+    """The float contraction as runs (fold, entries) of consecutive keys, in the order of ``items``.
+
+    A key of distinct indices at most _CHUNK wide goes to ``_unrolled(order)`` as (key, c), with
+    c = value·(m−1)! the coefficient of every target; any other key goes to ``_fold_each`` with a
+    coefficient per target.  Folding the runs in turn adds to each component in key order.
+    """
+    unrolled = _unrolled(order) if order <= _CHUNK else None
+    distinct = math.factorial(order - 1)  # the arrangements of each target of a key of distinct indices
+    plan: list[tuple[Callable, list]] = []
+    for key, value in items:
+        if unrolled and len(set(key)) == order:
+            fold, entry = unrolled, (key, _float_coefficient(value, distinct))
         else:
-            coefficient = float(value * arrangements)
-        terms.append((i, coefficient, rest))
-    return terms
+            fold, entry = _fold_each, (key, [(pos, _float_coefficient(value, a)) for pos, a in _targets(key)])
+        if not plan or plan[-1][0] is not fold:
+            plan.append((fold, []))
+        plan[-1][1].append(entry)
+    return plan
 
 
-def _float_contract(terms: list[tuple[int, float, Key]], x: Sequence) -> list[float]:
-    """Fold prebuilt float terms against x, as apply does for float input."""
-    return _fold(len(terms[0][2]) if terms else 0)(terms, [0.0, *map(float, x)], 0.0)[1:]
+def _float_fold(plan: list[tuple[Callable, list]], xs: list[float]) -> list[float]:
+    """The contraction of a ``_float_plan`` against float xs; xs and the result are indexed from 1."""
+    out = [0.0] * len(xs)
+    for fold, entries in plan:
+        fold(entries, xs, out)
+    return out
 
 
 def _over_common_denominator(values: Iterable[Value]) -> tuple[dict[int, int], int]:
@@ -117,9 +139,15 @@ def _exact_sums(items: list[tuple[Key, Value]], order: int, x: Sequence) -> tupl
     numerators, value_den = _over_common_denominator(v for _, v in items)
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
-    scaled = ((key, numerators[id(v)]) for key, v in items)
-    terms = ((i, v * arrangements, rest) for i, v, arrangements, rest in _leave_one_out(scaled))
-    return _fold(order - 1)(terms, xs, 0), xs, value_den, value_den * x_den ** (order - 1)
+    sums = [0] * len(xs)
+    for key, value in items:
+        v = numerators[id(value)]
+        xk = [xs[j] for j in key]
+        product = math.prod(xk)  # xs[j] divides it: one division per target leaves the rest
+        for pos, arrangements in _targets(key):
+            rest = product // xk[pos] if xk[pos] else math.prod(xk[:pos] + xk[pos + 1 :])
+            sums[key[pos]] += v * arrangements * rest
+    return sums, xs, value_den, value_den * x_den ** (order - 1)
 
 
 def _rational(values: Iterable) -> bool:
@@ -137,14 +165,15 @@ def _slice_numerators(
     Python integers: value * w(key) at every occurrence of every index, over
     the common denominator of the values times m.  With any float value the
     map holds the float sums themselves and the denominator is None; they add
-    the ``_float_terms`` of ``items`` in order, as the contraction does.
+    the float coefficient of every target of ``items`` in order, as the contraction does.
     """
     items = list(items)
     sums: dict[int, Value] = {}
     get = sums.get
     if not _rational(v for _, v in items):
-        for i, coefficient, _ in _float_terms(items):
-            sums[i] = get(i, 0.0) + coefficient
+        for key, value in items:
+            for pos, arrangements in _targets(key):
+                sums[key[pos]] = get(key[pos], 0.0) + _float_coefficient(value, arrangements)
         return sums, None
     numerators, den = _over_common_denominator(v for _, v in items)
     for key, value in items:
@@ -288,7 +317,8 @@ class SymTensor:
         if self.order == 1:  # every rest is empty: x takes no part
             x = [1] * self.dim
         if not _rational(self.entries.values()) or not _rational(x):
-            return _float_contract(_float_terms(self.canonical_items()), x)  # floats add in key order
+            plan = _float_plan(self.canonical_items(), self.order)  # floats add in key order
+            return _float_fold(plan, [0.0, *map(float, x)])[1:]
         sums, _, _, scale = _exact_sums(list(self.entries.items()), self.order, x)
         zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
         return [Fraction(s, scale) if s else zero for s in sums[1:]]

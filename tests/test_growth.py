@@ -1,6 +1,6 @@
 """A deterministic growth guard: Python line events per stage on an input and on one four times as large.
 
-Each stage runs once to warm up (the first calls of ``_fold`` and of a few
+Each stage runs once to warm up (the first calls of ``_unrolled`` and of a few
 builders do one-off work), then once under ``sys.settrace`` counting ``line``
 events in every frame it enters.  Line counts do not depend on the machine or
 its load, so a stage whose Python-level work grows faster than its input fails
@@ -102,10 +102,11 @@ def line_events(call) -> int:
 
 
 STAGES = list(stages("1\n1\n"))
-# A contraction multiplies k_max - 1 factors in one expression per index of each key:
-# k_max^2 work per key that line events cannot see, taking seconds at k_max = 80.
-# The two contraction stages are guarded along n and p only.
-K_MAX_STAGES = [stage for stage in STAGES if stage not in ("exact apply", "power_iteration step")]
+# The float contraction keeps k_max - 1 left-to-right products per index of each key,
+# which is what fixes its results bit for bit: k_max^2 work per key by design, so
+# "power_iteration step" is guarded along n and p only.  The exact contraction divides
+# one product per key by one factor per index and takes the k_max axis as well.
+K_MAX_STAGES = [stage for stage in STAGES if stage != "power_iteration step"]
 
 
 def counts(text: str, names: list[str]) -> dict[str, int]:

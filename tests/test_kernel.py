@@ -3,7 +3,12 @@
 ``reference_slice_sum``, ``reference_apply`` and ``reference_gershgorin``
 are the original hand-written loops, kept verbatim (with ``self`` renamed to
 ``t``) as the reference.  Exact results must be equal; float results must be
-equal bit for bit, since the kernels add the same terms in the same order.
+equal bit for bit, since the kernels add the same products in the same order:
+keys of distinct indices up to ``_CHUNK`` wide go through one unrolled loop
+per width, every other key through one ``math.prod`` per target, and the
+exact kernel divides each key's product by one factor per target.
+``reference_power_iteration`` runs ``power_iteration``'s loop on
+``reference_apply`` and must return the same ``EigenPair`` bit for bit.
 ``reference_reconstruct`` and ``reference_padding_evaluation`` test every
 index of a key against n, where the kernels split each sorted key once.
 ``_arrangements`` counts a key's orbit with a ``Counter``, against which the
@@ -13,6 +18,7 @@ the COO writer that joined ``str`` of every index and formatted every value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter, deque
@@ -23,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgtensor import (
+    EigenPair,
     Hypergraph,
     SymTensor,
     banerjee_tensor,
@@ -32,13 +39,17 @@ from hgtensor import (
     layer_counts_from_tensor,
     layer_tensor_eigen_normalized,
     multiplicity_weight,
+    parse_hypergraph,
     poly_from_tensor,
+    power_iteration,
     reconstruct,
     vertex_degrees_from_tensor,
 )
 from hgtensor.polynomials import _partial_padding_evaluation
-from hgtensor.symtensor import format_value
+from hgtensor.symtensor import _CHUNK, format_value
 from hgtensor.uniformize import _layered_order
+
+from test_growth import pairs_text
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -215,15 +226,100 @@ def test_float_valued_eigen_normalized_tensors(data):
     assert_matches_reference(t)
 
 
+@st.composite
+def distinct_key_tensors(draw, widths=st.integers(2, 70), values=rationals):
+    """Tensors of order 2-70 whose keys hold distinct indices: each leaves out 0-3 of 1..dim."""
+    order = draw(widths)
+    dim = order + draw(st.integers(0, 3))
+    left_out = st.sets(st.integers(1, dim), min_size=dim - order, max_size=dim - order)
+    keys = draw(st.lists(left_out, min_size=1, max_size=4))
+    entries = {tuple(i for i in range(1, dim + 1) if i not in out): draw(values) for out in keys}
+    return SymTensor(order, dim, entries)
+
+
 @KERNEL
 @given(st.data())
 def test_float_apply_is_bit_identical(data):
-    t = data.draw(tensors())
-    x = data.draw(vectors(t, floats))
-    applied = t.apply(x)
-    assert applied == reference_apply(t, x)
-    if t.order > 1:
-        assert all(type(v) is float for v in applied)
+    # the distinct-key tensors cross _CHUNK, where keys leave the unrolled loops
+    for t in (data.draw(tensors()), data.draw(distinct_key_tensors())):
+        x = data.draw(vectors(t, floats))
+        applied = t.apply(x)
+        assert applied == reference_apply(t, x)
+        if t.order > 1:
+            assert all(type(v) is float for v in applied)
+
+
+def reference_power_iteration(t: SymTensor, tol: float, max_iter: int) -> EigenPair:
+    """power_iteration's loop with reference_apply as the contraction."""
+    m = t.order
+    support = sorted({i for key in t.entries for i in key})
+    x = [0.0] * t.dim
+    for i in support:
+        x[i - 1] = 1.0
+    converged = False
+    iterations = 0
+    while True:
+        contracted = [float(v) for v in reference_apply(t, x)]
+        ratios = [contracted[i - 1] / x[i - 1] ** (m - 1) for i in support]
+        low, high = min(ratios), max(ratios)
+        iterations += 1
+        if high - low <= tol:
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
+        nxt = [0.0] * t.dim
+        for i in support:
+            nxt[i - 1] = contracted[i - 1] ** (1.0 / (m - 1))
+        top = max(nxt)
+        nxt = [v / top for v in nxt]
+        if min(nxt[i - 1] for i in support) ** (m - 1) < 1e-300:
+            break
+        x = nxt
+    value = (low + high) / 2.0
+    residual = max(abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim))
+    return EigenPair(value, tuple(x), residual, iterations, converged, low, high)
+
+
+def bits(pair: EigenPair) -> list:
+    """The fields of an EigenPair with every float as its exact hex form, so -0.0 and NaN compare too."""
+    hexed = [tuple(map(float.hex, f)) if isinstance(f, tuple) else f for f in dataclasses.astuple(pair)]
+    return [f.hex() if isinstance(f, float) else f for f in hexed]
+
+
+nonnegative = st.builds(Fraction, st.integers(0, 6), st.integers(1, 5))
+
+
+@st.composite
+def eigen_tensors(draw):
+    """Nonnegative tensors of order 2 or more: layered, shifted by scale_add_identity, or wide."""
+    kind = draw(st.sampled_from(["layered", "shifted", "wide"]))
+    if kind == "wide":  # distinct keys on both sides of _CHUNK
+        widths = st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1])
+        return draw(distinct_key_tensors(widths, nonnegative.filter(bool) | st.floats(0.01, 10)))
+    t = e_adjacency_tensor(draw(hypergraphs().filter(lambda h: h.k_max >= 2)))
+    if kind == "shifted":  # diagonal keys with a repeated index fall between keys of distinct indices
+        t = t.scale_add_identity(draw(nonnegative), draw(nonnegative.filter(bool)))
+    return t
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(eigen_tensors(), st.sampled_from([0.0, 1e-10, 1e-3]), st.integers(1, 40))
+def test_power_iteration_matches_the_reference_loop(t, tol, max_iter):
+    assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
+
+
+def test_power_iteration_working_set_per_key():
+    # 2001 keys of 20 distinct indices: one (key, coefficient) pair each, no term per target
+    t = e_adjacency_tensor(parse_hypergraph(pairs_text(20, seed=1)))
+    power_iteration(t, max_iter=1)  # the unrolled loop of width 20 is compiled once
+    tracemalloc.start()
+    try:
+        power_iteration(t, max_iter=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * len(t.entries), f"{peak / len(t.entries):.0f} B per key"
 
 
 def test_apply_of_order_3000():

@@ -55,16 +55,17 @@ def reference_check(t: SymTensor, value, x, tol):
     return residual, threshold, residual <= threshold
 
 
-def reference_fold(width: int):
-    """The per-index product loop, in the shape of symtensor._fold."""
+def reference_unrolled(width: int):
+    """The per-index product loop, in the shape of symtensor._unrolled."""
 
-    def fold(terms, xs, zero):
-        out = [zero] * len(xs)
-        for i, product, rest in terms:
-            for j in rest:
-                product *= xs[j]
-            out[i] += product
-        return out
+    def fold(entries, xs, out):
+        for key, c in entries:
+            for i in key:
+                product = c
+                for j in key:
+                    if j != i:
+                        product *= xs[j]
+                out[i] += product
 
     return fold
 
@@ -246,7 +247,7 @@ class TestPowerIteration:
         assert (h.n, h.p, h.k_max) == (57, 136, 5)
         t = e_adjacency_tensor(h)
         pair = power_iteration(t)
-        monkeypatch.setattr(symtensor, "_fold", reference_fold)
+        monkeypatch.setattr(symtensor, "_unrolled", reference_unrolled)
         assert power_iteration(t) == pair
 
     def test_validation(self):
@@ -256,6 +257,11 @@ class TestPowerIteration:
             power_iteration(SymTensor(2, 2, {}))
         with pytest.raises(ValueError, match="nonnegative tensor"):
             power_iteration(SymTensor(2, 2, {(1, 2): Fraction(-1)}))
+        for bad in (float("nan"), float("inf")):  # NaN is not below 0: both used to run every iteration
+            with pytest.raises(ValueError, match="^power iteration needs finite values$"):
+                power_iteration(SymTensor(2, 2, {(1, 2): bad, (1, 1): 1.0}))
+        with pytest.raises(ValueError, match="nonnegative tensor"):
+            power_iteration(SymTensor(2, 2, {(1, 2): float("-inf")}))
         t = SymTensor(2, 2, {(1, 2): Fraction(1)})
         with pytest.raises(ValueError, match="max_iter"):
             power_iteration(t, max_iter=0)

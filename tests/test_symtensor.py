@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from hgtensor import (
     multiplicity_weight,
     parse_hypergraph,
 )
+
+from test_growth import pairs_text
 
 
 def dense_tensor(t: SymTensor) -> dict[tuple[int, ...], Fraction]:
@@ -127,6 +130,16 @@ class TestReductions:
             t = random_tensor(rng)
             ones = [Fraction(1)] * t.dim
             assert t.apply(ones) == [t.slice_sum(i) for i in range(1, t.dim + 1)]
+
+    def test_exact_apply_of_pairs_and_one_edge_of_80_vertices(self):
+        # one product per key and one division per index: the per-index products took 1.9 s under -X dev
+        t = e_adjacency_tensor(parse_hypergraph(pairs_text(80, seed=1)))
+        x = [Fraction(i % 3 + 1, i % 2 + 1) for i in range(t.dim)]
+        start = time.perf_counter()
+        applied = t.apply(x)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.8, f"took {elapsed:.2f}s, budget 0.8s"
+        assert len(applied) == t.dim and all(type(v) is Fraction for v in applied)
 
     def test_apply_length_check(self, sample_tensor):
         with pytest.raises(ValueError, match="length"):
