@@ -6,7 +6,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .hypergraph import Hypergraph
@@ -33,7 +34,7 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
         contracted = t.apply(x)
         residual = max((abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim)), default=Fraction(0))
     else:  # |s_i/scale - value * x_i^(m-1)| over one denominator: integers until the end
-        sums, xs, value_den, scale = _exact_sums(list(t.entries.items()), m, x)  # order 1 reads no x
+        sums, xs, value_den, scale = _exact_sums(t.entries, m, x)  # order 1 reads no x
         top, den = value.numerator * value_den, value.denominator
         numerator = max((abs(s * den - top * c ** (m - 1)) for s, c in zip(sums[1:], xs[1:])), default=0)
         residual = Fraction(numerator, scale * den)
@@ -42,14 +43,27 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
 
 
 def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | float], ...]:
-    """Per-index (center, radius): the diagonal entry and its off-diagonal slice mass."""
+    """Per-index (center, radius): the diagonal entry and its off-diagonal slice mass.
+
+    The radii are the slice sums of the off-diagonal entries with each value
+    taken absolutely.  The sign of each distinct value object is tested once,
+    and each negative one is negated once.  With no diagonal key and no
+    negative value, as in the layered tensor, ``t.entries`` is passed as it
+    is; otherwise it is copied in key order in C-level passes.
+    """
     centers = [Fraction(0)] * t.dim
-    off_diagonal = []
-    for key, value in t.entries.items():
-        if key[0] == key[-1]:  # a sorted key with equal ends repeats one index
-            centers[key[0] - 1] = value
-        else:  # abs would build a new Fraction for every nonnegative value too
-            off_diagonal.append((key, -value if value < 0 else value))
+    keys = off_diagonal = t.entries
+    # a sorted key with equal ends repeats one index
+    diagonal = list(compress(keys, map(eq, map(itemgetter(0), keys), map(itemgetter(-1), keys))))
+    if diagonal:
+        off_diagonal = dict(keys)
+        for key in diagonal:
+            centers[key[0] - 1] = off_diagonal.pop(key)
+    values = off_diagonal.values()
+    # abs would build a new Fraction for every nonnegative value too
+    negated = {i: -v for i, v in dict(zip(map(id, values), values)).items() if v < 0}
+    if negated:
+        off_diagonal = dict(zip(off_diagonal, map(negated.get, map(id, values), values)))
     return tuple(zip(centers, _slice_list(off_diagonal, t.order, t.dim)))
 
 

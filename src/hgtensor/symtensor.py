@@ -16,9 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
@@ -31,11 +32,14 @@ _CHUNK = 64  # widest key _unrolled takes: its source grows as width², and ~300
 def multiplicity_weight(key: Sequence[int]) -> int:
     """Number of distinct dense positions sharing this key: m!/(c_1!...c_j!).
 
-    One walk over the sorted key divides m! by the length of the current run
-    of equal indices at each repeat.  Every partial quotient is a multinomial
-    coefficient, so each division is exact.
+    A key of distinct indices weighs m! at once.  Otherwise one walk over the
+    sorted key divides m! by the length of the current run of equal indices at
+    each repeat.  Every partial quotient is a multinomial coefficient, so each
+    division is exact.
     """
     weight = math.factorial(len(key))
+    if len(set(key)) == len(key):
+        return weight
     run = 1
     previous = None
     for i in sorted(key):
@@ -131,16 +135,16 @@ def _over_common_denominator(values: Iterable[Value]) -> tuple[dict[int, int], i
     return {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}, den
 
 
-def _exact_sums(items: list[tuple[Key, Value]], order: int, x: Sequence) -> tuple[list, list, int, int]:
+def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[list, list, int, int]:
     """(sums, xs, value_den, scale): the exact contraction in integers, component i = sums[i] / scale.
 
     xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
     """
-    numerators, value_den = _over_common_denominator(v for _, v in items)
+    numerators, value_den = _over_common_denominator(entries.values())
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
     sums = [0] * len(xs)
-    for key, value in items:
+    for key, value in entries.items():
         v = numerators[id(value)]
         xk = [xs[j] for j in key]
         product = math.prod(xk)  # xs[j] divides it: one division per target leaves the rest
@@ -155,29 +159,40 @@ def _rational(values: Iterable) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _slice_numerators(
-    items: Iterable[tuple[Key, Value]], order: int
-) -> tuple[dict[int, Value], int | None]:
+def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[int, Value], int | None]:
     """Slice sums at the indices the keys touch: ({index: numerator}, denominator).
 
     Slice sum i is the sum of value * w(key)·c_i/m over the canonical keys
     holding i, where c_i counts i in the key.  Rational values are added as
-    Python integers: value * w(key) at every occurrence of every index, over
-    the common denominator of the values times m.  With any float value the
+    Python integers, value * w(key) at every occurrence of every index, over
+    the common denominator of the values times m.  When every key holds one
+    value object v, one C-level count of the index occurrences, times m!·v,
+    sums the keys as if each had distinct indices, and only the keys that
+    repeat an index are walked, to add v·(w(key) − m!) at each occurrence;
+    with more value objects every key is walked.  With any float value the
     map holds the float sums themselves and the denominator is None; they add
-    the float coefficient of every target of ``items`` in order, as the contraction does.
+    the float coefficient of every target in key order, as the contraction
+    does.
     """
-    items = list(items)
+    values = dict(zip(map(id, entries.values()), entries.values()))  # the distinct value objects
     sums: dict[int, Value] = {}
     get = sums.get
-    if not _rational(v for _, v in items):
-        for key, value in items:
+    if not _rational(values.values()):
+        for key, value in entries.items():
             for pos, arrangements in _targets(key):
                 sums[key[pos]] = get(key[pos], 0.0) + _float_coefficient(value, arrangements)
         return sums, None
-    numerators, den = _over_common_denominator(v for _, v in items)
-    for key, value in items:
-        v = numerators[id(value)] * multiplicity_weight(key)
+    numerators, den = _over_common_denominator(values.values())
+    walk, counted = entries.items(), 0  # counted: the part of each w(key) that counting adds
+    if len(values) == 1:  # one value object, as in the layered tensor: count the index occurrences
+        [value] = values.values()
+        repeats = compress(entries, map(order.__ne__, map(len, map(set, entries))))
+        walk, counted = zip(repeats, repeat(value)), math.factorial(order)  # w(key) of distinct indices
+        v = numerators[id(value)] * counted
+        for index, count in Counter(chain.from_iterable(entries)).items():
+            sums[index] = v * count
+    for key, value in walk:
+        v = numerators[id(value)] * (multiplicity_weight(key) - counted)
         for i in key:
             sums[i] = get(i, 0) + v
     return sums, den * order
@@ -188,9 +203,9 @@ def _quotient(numerator: Value, den: int | None) -> Value:
     return numerator if den is None else Fraction(numerator, den)
 
 
-def _slice_list(items: Iterable[tuple[Key, Value]], order: int, dim: int) -> list:
+def _slice_list(entries: Mapping[Key, Value], order: int, dim: int) -> list:
     """Slice sums 1..dim as a list; untouched indices share one zero."""
-    sums, den = _slice_numerators(items, order)
+    sums, den = _slice_numerators(entries, order)
     out = [Fraction(0) if den is not None else 0.0] * dim
     quotients = {s: _quotient(s, den) for s in set(sums.values())}  # degrees repeat: share them
     for i, s in sums.items():
@@ -285,7 +300,7 @@ class SymTensor:
 
     def slice_sums(self) -> list:
         """Every slice sum, indices 1..dim, in one pass over the keys."""
-        return _slice_list(self.entries.items(), self.order, self.dim)
+        return _slice_list(self.entries, self.order, self.dim)
 
     def slice_sum(self, i: int):
         """Sum of all dense entries whose first index is i.
@@ -294,7 +309,7 @@ class SymTensor:
         """
         if not 1 <= i <= self.dim:
             raise ValueError(f"index {i} outside [1, {self.dim}]")
-        touching = [(key, value) for key, value in self.entries.items() if i in key]
+        touching = {key: value for key, value in self.entries.items() if i in key}
         sums, den = _slice_numerators(touching, self.order)
         return _quotient(sums[i], den) if i in sums else Fraction(0)
 
@@ -319,7 +334,7 @@ class SymTensor:
         if not _rational(self.entries.values()) or not _rational(x):
             plan = _float_plan(self.canonical_items(), self.order)  # floats add in key order
             return _float_fold(plan, [0.0, *map(float, x)])[1:]
-        sums, _, _, scale = _exact_sums(list(self.entries.items()), self.order, x)
+        sums, _, _, scale = _exact_sums(self.entries, self.order, x)
         zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
         return [Fraction(s, scale) if s else zero for s in sums[1:]]
 

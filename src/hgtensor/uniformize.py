@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import eq, getitem
 from typing import Sequence
 
 from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size
@@ -181,7 +183,7 @@ def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
     """Original vertex degrees, read as the first n slice sums."""
     if not 0 <= n <= t.dim:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
-    sums, den = _slice_numerators(t.entries.items(), t.order)
+    sums, den = _slice_numerators(t.entries, t.order)
     result = [0] * n
     for i in sorted(i for i in sums if i <= n):  # in index order, so the first bad sum is named
         result[i - 1] = _as_int(sums[i], den, f"slice sum {i}")
@@ -196,10 +198,10 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     the edge count: no slice carries it, so it is the slice sums' total / k_max.
     """
     k = _layered_order(t, n)
-    sums, den = _slice_numerators(t.entries.items(), k)
+    sums, den = _slice_numerators(t.entries, k)
     cumulative = [_as_int(sums.get(i, 0), den, f"slice sum {i}") for i in range(n + 1, n + k)]
-    # float sums add in index order, as a list of every slice sum would
-    total = Fraction(sum(s for _, s in sorted(sums.items()))) / (den or 1)
+    # integers add exactly in any order; floats in index order, as a list of every slice sum would
+    total = Fraction(sum(sums.values()), den) if den else Fraction(sum(s for _, s in sorted(sums.items())))
     cumulative.append(_as_int(total.numerator, total.denominator * k, "total_sum / order"))
     per_size = []
     previous = 0
@@ -218,18 +220,24 @@ def reconstruct(t: SymTensor, n: int) -> Hypergraph:
     lie above n and the part at or below n is an edge of some size s >= 1; the
     part above n must be exactly the suffix {n+s, ..., n+k_max-1}.  Canonical
     keys are sorted, so the original part is the prefix of indices <= n and one
-    bisection splits each key.
+    bisection splits each key.  The keys are split and checked in C-level
+    passes; only a tensor that fails a check is walked key by key, so the
+    first bad key in key order is named.
     """
     k = _layered_order(t, n)
     suffixes = _padding_suffixes(n, k)
-    edges = []
-    for key, _ in t.canonical_items():
-        if len(set(key)) != len(key):
-            raise ValueError(f"key {key} repeats an index")
-        s = bisect_right(key, n)
-        if key[s:] != suffixes[s]:
-            raise ValueError(
-                f"key {key} has padding {key[s:]}, expected {suffixes[s]}"
-            )
-        edges.append(frozenset(key[:s]))
-    return _trusted(Hypergraph, n, tuple(edges))
+    keys = sorted(t.entries)
+    cuts = list(map(bisect_right, keys, repeat(n)))
+    edges = tuple(map(frozenset, map(getitem, keys, map(slice, cuts))))
+    paddings = map(getitem, keys, map(slice, cuts, repeat(None)))
+    # with its padding the suffix, a key repeats an index exactly when its edge is shorter than its prefix
+    if not all(map(eq, paddings, map(suffixes.__getitem__, cuts))) or not all(map(eq, map(len, edges), cuts)):
+        for key in keys:  # name the first bad key, in key order
+            if len(set(key)) != len(key):
+                raise ValueError(f"key {key} repeats an index")
+            s = bisect_right(key, n)
+            if key[s:] != suffixes[s]:
+                raise ValueError(
+                    f"key {key} has padding {key[s:]}, expected {suffixes[s]}"
+                )
+    return _trusted(Hypergraph, n, edges)

@@ -23,6 +23,7 @@ import math
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -108,13 +109,31 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
+def _fresh(value):
+    """An equal value, in a new object unless it is a small int."""
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    return type(value)(repr(value))
+
+
 @st.composite
-def tensors(draw, orders=st.integers(1, 4)):
-    """Small tensors whose keys may repeat indices, with signed rational values."""
+def tensors(draw, orders=st.integers(1, 4), values=rationals):
+    """Small tensors whose keys may repeat indices, with signed values.
+
+    Every key holds one value object, an object drawn from a small pool, a
+    new object of its own, or a mix of the last two: the slice sums count the
+    keys of a tensor with one value object and walk any other.
+    """
     order = draw(orders)
     dim = draw(st.integers(1, 5))
     keys = draw(st.lists(st.lists(st.integers(1, dim), min_size=order, max_size=order), max_size=8))
-    entries = {tuple(sorted(key)): draw(rationals) for key in keys}
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    sharing = draw(st.sampled_from(["one", "pooled", "fresh", "mixed"]))
+    entries = {}
+    for key in keys:
+        value = pool[0] if sharing == "one" else draw(st.sampled_from(pool))
+        fresh = sharing == "fresh" or (sharing == "mixed" and draw(st.booleans()))
+        entries[tuple(sorted(key))] = _fresh(value) if fresh else value
     return SymTensor(order, dim, entries)
 
 
@@ -224,6 +243,37 @@ def test_float_valued_eigen_normalized_tensors(data):
     x = data.draw(vectors(t, floats))
     assert t.apply(x) == reference_apply(t, x)
     assert_matches_reference(t)
+
+
+@KERNEL
+@given(tensors(values=floats))
+def test_float_slice_sums_and_radii_are_bit_identical(t):
+    # float values take the per-target walk in key order, shared or not
+    assert_matches_reference(t)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda t: vertex_degrees_from_tensor(t, 40),
+        lambda t: layer_counts_from_tensor(t, 40),
+        SymTensor.slice_sums,
+        gershgorin_disks,
+    ],
+    ids=["degrees", "layer counts", "slice sums", "gershgorin"],
+)
+def test_layered_readers_keep_nothing_per_key(read):
+    # every key of the layered tensor holds one value object, so the slice sums
+    # count index occurrences at once: no (key, value) pair or copy per key
+    t = e_adjacency_tensor(Hypergraph(40, tuple(map(frozenset, combinations(range(1, 41), 3)))))
+    assert len(t.entries) == 9880
+    tracemalloc.start()
+    try:
+        read(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(t.entries), f"{peak / len(t.entries):.1f} B per key"
 
 
 @st.composite
@@ -511,13 +561,6 @@ coo_values = (
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from([1e-300, -1e-300, 0.123456789012, -98765.4321098, 1 / 3, 7])
 )
-
-
-def _fresh(value):
-    """An equal value, in a new object unless it is a small int."""
-    if isinstance(value, Fraction):
-        return Fraction(value.numerator, value.denominator)
-    return type(value)(repr(value))
 
 
 @st.composite
