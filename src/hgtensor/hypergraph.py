@@ -148,8 +148,8 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
 
 
 def degree(h: Hypergraph, v: int) -> int:
-    """Number of hyperedges containing vertex v."""
-    _check_vertex(h, v)
+    """Number of hyperedges containing vertex v, checked as an edge's vertices are."""
+    _as_edge((v,), h.n)
     return sum(1 for e in h.edges if v in e)
 
 
@@ -162,19 +162,12 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_vertex(h: Hypergraph, v: int) -> None:
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex index {v} out of range [1, {h.n}]")
-
-
 def _vertex_set(h: Hypergraph, vertices: Iterable[int]) -> Edge:
-    """The given vertices as a set, checked nonempty and in range."""
+    """The given vertices as a set, checked nonempty and then as an edge is."""
     s = frozenset(vertices)
     if not s:
         raise ValueError("vertex set must be nonempty")
-    for v in s:
-        _check_vertex(h, v)
-    return s
+    return _as_edge(s, h.n)
 
 
 def _uniform_size(h: Hypergraph) -> int | None:

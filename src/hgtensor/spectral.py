@@ -11,7 +11,8 @@ from operator import eq, itemgetter
 from typing import Sequence
 
 from .hypergraph import Hypergraph
-from .symtensor import SymTensor, _exact_sums, _float_fold, _float_plan, _rational, _slice_list, layer_tensor_raw
+from .symtensor import SymTensor, _exact_sums, _float_fold, _float_plan, _rational, _slice_list, _value_objects
+from .symtensor import layer_tensor_raw
 from .uniformize import e_adjacency_tensor
 
 
@@ -61,7 +62,7 @@ def gershgorin_disks(t: SymTensor) -> tuple[tuple[Fraction | float, Fraction | f
             centers[key[0] - 1] = off_diagonal.pop(key)
     values = off_diagonal.values()
     # abs would build a new Fraction for every nonnegative value too
-    negated = {i: -v for i, v in dict(zip(map(id, values), values)).items() if v < 0}
+    negated = {i: -v for i, v in _value_objects(values).items() if v < 0}
     if negated:
         off_diagonal = dict(zip(off_diagonal, map(negated.get, map(id, values), values)))
     return tuple(zip(centers, _slice_list(off_diagonal, t.order, t.dim)))
@@ -134,7 +135,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("tolerance must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    values = {id(v): v for v in t.entries.values()}.values()  # one test per value object
+    values = _value_objects(t.entries.values()).values()  # one test per value object
     if any(v < 0 for v in values):
         raise ValueError("power iteration needs a nonnegative tensor")
     if any(not v < math.inf for v in values):  # NaN compares false, so only this test catches it

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 
@@ -128,11 +128,15 @@ def _float_fold(plan: list[tuple[Callable, list]], xs: list[float]) -> list[floa
     return out
 
 
-def _over_common_denominator(values: Iterable[Value]) -> tuple[dict[int, int], int]:
-    """({id(v): numerator}, den): rational values over their common denominator, each object scaled once."""
-    distinct = {id(v): v for v in values}
-    den = math.lcm(*(v.denominator for v in distinct.values()))
-    return {i: v.numerator * (den // v.denominator) for i, v in distinct.items()}, den
+def _value_objects(values: Collection[Value]) -> dict[int, Value]:
+    """{id(v): v}: the distinct value objects, so each is tested or scaled once per read."""
+    return dict(zip(map(id, values), values))
+
+
+def _over_common_denominator(objects: dict[int, Value]) -> tuple[dict[int, int], int]:
+    """({id(v): numerator}, den): the rational value objects over their common denominator."""
+    den = math.lcm(*(v.denominator for v in objects.values()))
+    return {i: v.numerator * (den // v.denominator) for i, v in objects.items()}, den
 
 
 def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[list, list, int, int]:
@@ -140,7 +144,7 @@ def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[
 
     xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
     """
-    numerators, value_den = _over_common_denominator(entries.values())
+    numerators, value_den = _over_common_denominator(_value_objects(entries.values()))
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
     sums = [0] * len(xs)
@@ -171,21 +175,21 @@ def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[in
     repeat an index are walked, to add v·(w(key) − m!) at each occurrence;
     with more value objects every key is walked.  With any float value the
     map holds the float sums themselves and the denominator is None; they add
-    the float coefficient of every target in key order, as the contraction
-    does.
+    the float coefficient of every target in canonical key order, as the
+    contraction does, whatever order the entries were inserted in.
     """
-    values = dict(zip(map(id, entries.values()), entries.values()))  # the distinct value objects
+    objects = _value_objects(entries.values())
     sums: dict[int, Value] = {}
     get = sums.get
-    if not _rational(values.values()):
-        for key, value in entries.items():
+    if not _rational(objects.values()):
+        for key, value in sorted(entries.items()):
             for pos, arrangements in _targets(key):
                 sums[key[pos]] = get(key[pos], 0.0) + _float_coefficient(value, arrangements)
         return sums, None
-    numerators, den = _over_common_denominator(values.values())
+    numerators, den = _over_common_denominator(objects)
     walk, counted = entries.items(), 0  # counted: the part of each w(key) that counting adds
-    if len(values) == 1:  # one value object, as in the layered tensor: count the index occurrences
-        [value] = values.values()
+    if len(objects) == 1:  # one value object, as in the layered tensor: count the index occurrences
+        [value] = objects.values()
         repeats = compress(entries, map(order.__ne__, map(len, map(set, entries))))
         walk, counted = zip(repeats, repeat(value)), math.factorial(order)  # w(key) of distinct indices
         v = numerators[id(value)] * counted
@@ -201,6 +205,17 @@ def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[in
 def _quotient(numerator: Value, den: int | None) -> Value:
     """One slice sum as a value, from the map ``_slice_numerators`` returns."""
     return numerator if den is None else Fraction(numerator, den)
+
+
+def _total(sums: dict[int, Value], den: int | None) -> Value:
+    """The sum of every slice sum, from the map ``_slice_numerators`` returns.
+
+    Integers add exactly in any order; floats add in index order, as a list
+    of every slice sum would.
+    """
+    if den is None:
+        return sum(s for _, s in sorted(sums.items()))
+    return Fraction(sum(sums.values()), den)
 
 
 def _slice_list(entries: Mapping[Key, Value], order: int, dim: int) -> list:
@@ -281,13 +296,12 @@ class SymTensor:
         return f"SymTensor(order={self.order}, dim={self.dim}, nnz_keys={len(self.entries)})"
 
     def get(self, index: Sequence[int]) -> Value:
-        """Value at an arbitrary (not necessarily sorted) index tuple."""
-        idx = tuple(index)
-        if len(idx) != self.order:
-            raise ValueError(f"index {idx} does not have {self.order} components")
-        if any(not 1 <= i <= self.dim for i in idx):
-            raise ValueError(f"index {idx} outside [1, {self.dim}]")
-        return self.entries.get(tuple(sorted(idx)), Fraction(0))
+        """Value at an arbitrary (not necessarily sorted) index tuple.
+
+        The index is checked as a key is: ``order`` integer components in [1, dim].
+        """
+        [key] = _canonical({tuple(index): 1}, self.order, self.dim, "index", f"have {self.order} components")
+        return self.entries.get(key, Fraction(0))
 
     def canonical_items(self) -> Iterator[tuple[Key, Value]]:
         """Stored (key, value) pairs in lexicographic key order."""
@@ -314,11 +328,12 @@ class SymTensor:
         return _quotient(sums[i], den) if i in sums else Fraction(0)
 
     def total_sum(self):
-        """Sum of every dense entry."""
-        total = Fraction(0)
-        for key, value in self.entries.items():
-            total += value * multiplicity_weight(key)
-        return total
+        """Sum of every dense entry.
+
+        It is the total of the slice sums: each key's value·w(key) splits over
+        its indices in shares c_i/m that add up to one.
+        """
+        return _total(*_slice_numerators(self.entries, self.order))
 
     def apply(self, x: Sequence) -> list:
         """Contract against a vector on the last m-1 modes.

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size
 from .layers import decompose
-from .symtensor import SymTensor, _quotient, _slice_numerators
+from .symtensor import SymTensor, _quotient, _slice_numerators, _total
 
 CoefficientPolicy = str | Sequence[Fraction]
 
@@ -200,8 +200,7 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     k = _layered_order(t, n)
     sums, den = _slice_numerators(t.entries, k)
     cumulative = [_as_int(sums.get(i, 0), den, f"slice sum {i}") for i in range(n + 1, n + k)]
-    # integers add exactly in any order; floats in index order, as a list of every slice sum would
-    total = Fraction(sum(sums.values()), den) if den else Fraction(sum(s for _, s in sorted(sums.items())))
+    total = Fraction(_total(sums, den))
     cumulative.append(_as_int(total.numerator, total.denominator * k, "total_sum / order"))
     per_size = []
     previous = 0

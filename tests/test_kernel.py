@@ -1,8 +1,9 @@
 """Slice-sum, contraction and key-splitting kernels against the per-index loops they replaced.
 
 ``reference_slice_sum``, ``reference_apply`` and ``reference_gershgorin``
-are the original hand-written loops, kept verbatim (with ``self`` renamed to
-``t``) as the reference.  Exact results must be equal; float results must be
+are the original hand-written loops, kept as the reference with ``self``
+renamed to ``t`` and the keys taken in sorted order, the order every float
+sum adds in.  Exact results must be equal; float results must be
 equal bit for bit, since the kernels add the same products in the same order:
 keys of distinct indices up to ``_CHUNK`` wide go through one unrolled loop
 per width, every other key through one ``math.prod`` per target, and the
@@ -65,7 +66,7 @@ def _arrangements(key):
 
 def reference_slice_sum(t: SymTensor, i: int):
     total = Fraction(0)
-    for key, value in t.entries.items():
+    for key, value in sorted(t.entries.items()):
         if i in key:
             rest = list(key)
             rest.remove(i)
@@ -90,7 +91,7 @@ def reference_apply(t: SymTensor, x) -> list:
 def reference_gershgorin(t: SymTensor):
     diagonal = {}
     radii = [Fraction(0)] * t.dim
-    for key, value in t.entries.items():
+    for key, value in sorted(t.entries.items()):
         first = key[0]
         if all(i == first for i in key):
             diagonal[first] = value
@@ -250,6 +251,34 @@ def test_float_valued_eigen_normalized_tensors(data):
 def test_float_slice_sums_and_radii_are_bit_identical(t):
     # float values take the per-target walk in key order, shared or not
     assert_matches_reference(t)
+
+
+def float_reads(t: SymTensor) -> list:
+    """Every sum read off t, with each float as its exact hex form, so equal means bit-equal."""
+    disks = [v for disk in gershgorin_disks(t) for v in disk]
+    reads = [*t.slice_sums(), *(t.slice_sum(i) for i in range(1, t.dim + 1)), t.total_sum(), *disks]
+    return [v.hex() if isinstance(v, float) else v for v in reads]
+
+
+def assert_insertion_order_is_invisible(t: SymTensor) -> None:
+    backwards = SymTensor(t.order, t.dim, dict(reversed(t.entries.items())))
+    assert backwards == t
+    assert float_reads(backwards) == float_reads(t)
+    # the slice sums add what the contraction adds against all ones, in the same order
+    sums, applied = t.slice_sums(), t.apply([1.0] * t.dim)
+    assert [float(v).hex() for v in sums] == [float(v).hex() for v in applied]
+
+
+def test_float_sums_in_key_order_whatever_the_insertion_order():
+    # 1e16 and -1e16 cancel exactly only when they are added next to each other:
+    # summed in insertion order, the two tensors' total_sum read 0.0 and 2.0
+    assert_insertion_order_is_invisible(SymTensor(2, 4, {(1, 4): 1.0, (1, 2): 1e16, (1, 3): -1e16}))
+
+
+@KERNEL
+@given(tensors(values=floats | st.sampled_from([1e16, -1e16, 3e-16])))
+def test_float_sums_do_not_depend_on_insertion_order(t):
+    assert_insertion_order_is_invisible(t)
 
 
 @pytest.mark.parametrize(

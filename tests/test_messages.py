@@ -10,16 +10,24 @@ from hgtensor import (
     HomogeneousPolynomial,
     Hypergraph,
     SymTensor,
+    degree,
     dnf_extract,
+    is_k_adjacent,
     special_vertex_indices,
     vertex_degrees_from_tensor,
 )
 
 TRIANGLE = SymTensor(2, 3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+PATH = Hypergraph(3, [{1, 2}, {2, 3}])
 
 CASES = {
     "float vertex": (lambda: Hypergraph(3, ((1.5,),)), "vertex index must be an integer, got 1.5"),
     "bool vertex": (lambda: Hypergraph(3, ((True,),)), "vertex index must be an integer, got True"),
+    # positions and vertex sets are checked as keys and edges are
+    "float position": (lambda: TRIANGLE.get((1.0, 2)), "index (1.0, 2) has a non-integer index"),
+    "bool position": (lambda: TRIANGLE.get((True, 2)), "index (True, 2) has a non-integer index"),
+    "bool degree vertex": (lambda: degree(PATH, True), "vertex index must be an integer, got True"),
+    "float adjacency vertex": (lambda: is_k_adjacent(PATH, [1.5]), "vertex index must be an integer, got 1.5"),
     "negative variable count": (
         lambda: HomogeneousPolynomial(2, -1),
         "variable count must be nonnegative",
