@@ -11,11 +11,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from typing import Mapping, Sequence
 
 from .hypergraph import Hypergraph, _trusted
 from .layers import decompose
-from .symtensor import SymTensor, _canonical, layer_tensor_degree_normalized, multiplicity_weight
+from .symtensor import SymTensor, _canonical, multiplicity_weight
 from .uniformize import CoefficientPolicy, _layered_order, _padding_suffixes, layer_coefficients, reconstruct
 
 Monomial = tuple[int, ...]
@@ -130,14 +132,15 @@ def hypergraph_polynomial(
     With P_s the degree-normalized layer-s polynomial, the rounds of ``homogenize_step``,
     r_{k+1} = y_{n+k} * r_k + c_{k+1} * P_{k+1} from r_1 = c_1 * P_1, unroll to
     r = sum over s of c_s * P_s * y_{n+s} * ... * y_{n+k_max-1}: each layer takes its suffix once.
+    Every monomial of P_s has distinct variables and coefficient s!/(s-1)! = s, so layer s adds
+    its sorted edges, each followed by the suffix, with the one coefficient c_s * s.
     """
     dec = decompose(h)
     suffixes = _padding_suffixes(h.n, dec.k_max)
     monomials: dict[Monomial, Fraction] = {}
-    for s, c in enumerate(layer_coefficients(policy, dec.k_max), start=1):
-        products: dict[int, Fraction] = {}  # by coefficient identity, as in homogenize_step
-        for key, v in poly_from_tensor(layer_tensor_degree_normalized(dec.layer(s), s)).monomials.items():
-            monomials[key + suffixes[s]] = products.get(id(v)) or products.setdefault(id(v), c * v)
+    for s, (c, layer) in enumerate(zip(layer_coefficients(policy, dec.k_max), dec.layers), start=1):
+        keys = map(add, map(tuple, map(sorted, layer.edges)), repeat(suffixes[s]))
+        monomials.update(zip(keys, repeat(c * s)))
     return _trusted(HomogeneousPolynomial, dec.k_max, h.n + dec.k_max - 1, monomials)
 
 

@@ -140,11 +140,11 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("power iteration needs a nonnegative tensor")
     if any(not v < math.inf for v in values):  # NaN compares false, so only this test catches it
         raise ValueError("power iteration needs finite values")
-    support = sorted({i for key in t.entries for i in key})
+    support = sorted(set(chain.from_iterable(t.entries)))
     if not support:
         raise ValueError("power iteration needs a nonzero tensor")
 
-    plan = _float_plan(t.canonical_items(), m)
+    plan = _float_plan(t.entries, m)
     x = [0.0] * t.dim
     for i in support:
         x[i - 1] = 1.0

@@ -19,7 +19,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
+from operator import add, and_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
@@ -74,19 +75,22 @@ def _float_coefficient(value: Value, arrangements: int) -> float:
 
 
 @functools.cache
-def _unrolled(width: int):
+def _unrolled(width: int, scaled: bool):
     """fold(entries, xs, out): adds c * xs[j_0] * ... (skipping j_i) ... to out[j_i] for each (key, c).
 
     One loop per width of keys with distinct indices unpacks the key and loads each xs[j] once;
     each target's factors go left to right in key order, and the targets are taken in key order.
+    Unscaled, the entries are bare keys whose c is 1.0 and the loop leaves ``c *`` out: 1.0 * x
+    is x for every double, so each product and sum is the one the scaled loop makes.
     xs and out are indexed from 1 (slot 0 is padding).
     """
     x = [f"x{k}" for k in range(width)]
     # the source is made from integers alone, as dataclasses makes __init__: no value enters it
     target = "".join(f"j{k}, " for k in range(width))
-    lines = ["def fold(entries, xs, out):", f"    for ({target}), c in entries:"]
+    c = ["c"] if scaled else []
+    lines = ["def fold(entries, xs, out):", f"    for ({target}){', c' if scaled else ''} in entries:"]
     lines += [f"        x{k} = xs[j{k}]" for k in range(width)]
-    lines += [f"        out[j{k}] += c{''.join(f' * {f}' for f in x[:k] + x[k + 1 :])}" for k in range(width)]
+    lines += [f"        out[j{k}] += {' * '.join(c + x[:k] + x[k + 1 :])}" for k in range(width)]
     exec("\n".join(lines), namespace := {})
     return namespace["fold"]
 
@@ -99,24 +103,35 @@ def _fold_each(entries: list, xs: list[float], out: list[float]) -> None:
             out[key[pos]] += math.prod(xk[:pos] + xk[pos + 1 :], start=c)
 
 
-def _float_plan(items: Iterable[tuple[Key, Value]], order: int) -> list[tuple[Callable, list]]:
-    """The float contraction as runs (fold, entries) of consecutive keys, in the order of ``items``.
+def _float_plan(entries: Mapping[Key, Value], order: int) -> list[tuple[Callable, list]]:
+    """The float contraction as runs (fold, entries) of consecutive keys, in canonical key order.
 
-    A key of distinct indices at most _CHUNK wide goes to ``_unrolled(order)`` as (key, c), with
-    c = value·(m−1)! the coefficient of every target; any other key goes to ``_fold_each`` with a
-    coefficient per target.  Folding the runs in turn adds to each component in key order.
+    A key of distinct indices at most _CHUNK wide has c = value·(m−1)! at every target, computed
+    once per value object.  Where c is exactly 1.0, as on every key of the layered tensor, the run
+    holds bare keys for ``_unrolled(order, False)``; otherwise it holds (key, c) pairs for
+    ``_unrolled(order, True)``, and order 1 always does.  Any other key goes to ``_fold_each`` with
+    a coefficient per target.  The keys are classified in C-level passes; folding the runs in turn
+    adds to each component in key order.
     """
-    unrolled = _unrolled(order) if order <= _CHUNK else None
+    keys = sorted(entries)
     distinct = math.factorial(order - 1)  # the arrangements of each target of a key of distinct indices
+    coefficients = {i: _float_coefficient(v, distinct) for i, v in _value_objects(entries.values()).items()}
+    cs = list(map(coefficients.__getitem__, map(id, map(entries.__getitem__, keys))))
+    unrolled = list(map(order.__eq__, map(len, map(set, keys)))) if order <= _CHUNK else [False] * len(keys)
+    unit = map((1.0).__eq__, cs) if order > 1 else repeat(False)  # order 1 has no factor to leave c off
+    kinds = map(add, unrolled, map(and_, unrolled, unit))  # 0: _fold_each, 1: (key, c) pairs, 2: bare keys
     plan: list[tuple[Callable, list]] = []
-    for key, value in items:
-        if unrolled and len(set(key)) == order:
-            fold, entry = unrolled, (key, _float_coefficient(value, distinct))
+    start = 0
+    for kind, run in groupby(kinds):
+        end = start + len(list(run))
+        if kind == 2:
+            plan.append((_unrolled(order, False), keys[start:end]))
+        elif kind:
+            plan.append((_unrolled(order, True), list(zip(keys[start:end], cs[start:end]))))
         else:
-            fold, entry = _fold_each, (key, [(pos, _float_coefficient(value, a)) for pos, a in _targets(key)])
-        if not plan or plan[-1][0] is not fold:
-            plan.append((fold, []))
-        plan[-1][1].append(entry)
+            targets = ([(pos, _float_coefficient(entries[k], a)) for pos, a in _targets(k)] for k in keys[start:end])
+            plan.append((_fold_each, list(zip(keys[start:end], targets))))
+        start = end
     return plan
 
 
@@ -142,19 +157,28 @@ def _over_common_denominator(objects: dict[int, Value]) -> tuple[dict[int, int],
 def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[list, list, int, int]:
     """(sums, xs, value_den, scale): the exact contraction in integers, component i = sums[i] / scale.
 
+    A key of distinct indices whose xs are all nonzero makes one product q = (m−1)!·v·P, with P
+    the product of its xs, and adds q // xs[j] at each index j: xs[j] divides P, so each quotient
+    is exact.  Any other key adds v·arrangements·(the product of the other xs) at each target.
     xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
     """
     numerators, value_den = _over_common_denominator(_value_objects(entries.values()))
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
     sums = [0] * len(xs)
+    distinct = math.factorial(order - 1)
     for key, value in entries.items():
         v = numerators[id(value)]
         xk = [xs[j] for j in key]
-        product = math.prod(xk)  # xs[j] divides it: one division per target leaves the rest
-        for pos, arrangements in _targets(key):
-            rest = product // xk[pos] if xk[pos] else math.prod(xk[:pos] + xk[pos + 1 :])
-            sums[key[pos]] += v * arrangements * rest
+        product = math.prod(xk)
+        if product and len(set(key)) == order:
+            q = distinct * v * product
+            for j, xj in zip(key, xk):
+                sums[j] += q // xj
+        else:  # xs[j] divides the product: one division per nonzero target leaves the rest
+            for pos, arrangements in _targets(key):
+                rest = product // xk[pos] if xk[pos] else math.prod(xk[:pos] + xk[pos + 1 :])
+                sums[key[pos]] += v * arrangements * rest
     return sums, xs, value_den, value_den * x_den ** (order - 1)
 
 
@@ -319,10 +343,10 @@ class SymTensor:
     def slice_sum(self, i: int):
         """Sum of all dense entries whose first index is i.
 
-        By symmetry this is also the sum over any fixed mode.
+        By symmetry this is also the sum over any fixed mode.  The index is
+        checked as a key's component is: an integer in [1, dim].
         """
-        if not 1 <= i <= self.dim:
-            raise ValueError(f"index {i} outside [1, {self.dim}]")
+        _canonical({(i,): 1}, 1, self.dim, "index", "have 1 component")
         touching = {key: value for key, value in self.entries.items() if i in key}
         sums, den = _slice_numerators(touching, self.order)
         return _quotient(sums[i], den) if i in sums else Fraction(0)
@@ -347,7 +371,7 @@ class SymTensor:
         if self.order == 1:  # every rest is empty: x takes no part
             x = [1] * self.dim
         if not _rational(self.entries.values()) or not _rational(x):
-            plan = _float_plan(self.canonical_items(), self.order)  # floats add in key order
+            plan = _float_plan(self.entries, self.order)  # floats add in key order
             return _float_fold(plan, [0.0, *map(float, x)])[1:]
         sums, _, _, scale = _exact_sums(self.entries, self.order, x)
         zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing

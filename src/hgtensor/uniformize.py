@@ -169,8 +169,15 @@ def _as_int(numerator, den: int | None, what: str) -> int:
     return int(numerator) // (den or 1)
 
 
+def _vertex_count(n: int) -> None:
+    """Refuse a vertex count that is not an int, as a vertex index is refused; a bool is not a count."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+
+
 def _layered_order(t: SymTensor, n: int) -> int:
     """The order k of t, after checking that t has the layered shape dim = n + k - 1, n >= 0."""
+    _vertex_count(n)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     k = t.order
@@ -181,6 +188,7 @@ def _layered_order(t: SymTensor, n: int) -> int:
 
 def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
     """Original vertex degrees, read as the first n slice sums."""
+    _vertex_count(n)
     if not 0 <= n <= t.dim:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
     sums, den = _slice_numerators(t.entries, t.order)

@@ -48,7 +48,7 @@ from hgtensor import (
     vertex_degrees_from_tensor,
 )
 from hgtensor.polynomials import _partial_padding_evaluation
-from hgtensor.symtensor import _CHUNK, format_value
+from hgtensor.symtensor import _CHUNK, _float_plan, _unrolled, format_value
 from hgtensor.uniformize import _layered_order
 
 from test_growth import pairs_text
@@ -307,12 +307,17 @@ def test_layered_readers_keep_nothing_per_key(read):
 
 @st.composite
 def distinct_key_tensors(draw, widths=st.integers(2, 70), values=rationals):
-    """Tensors of order 2-70 whose keys hold distinct indices: each leaves out 0-3 of 1..dim."""
+    """Tensors of order 2-70 whose keys hold distinct indices: each leaves out 0-3 of 1..dim.
+
+    A value may also be 1/(m−1)!, the layered tensor's, whose float coefficient is 1.0, so runs
+    of bare keys and of (key, c) pairs alternate.
+    """
     order = draw(widths)
     dim = order + draw(st.integers(0, 3))
     left_out = st.sets(st.integers(1, dim), min_size=dim - order, max_size=dim - order)
     keys = draw(st.lists(left_out, min_size=1, max_size=4))
-    entries = {tuple(i for i in range(1, dim + 1) if i not in out): draw(values) for out in keys}
+    unit = Fraction(1, math.factorial(order - 1))
+    entries = {tuple(i for i in range(1, dim + 1) if i not in out): draw(st.just(unit) | values) for out in keys}
     return SymTensor(order, dim, entries)
 
 
@@ -326,6 +331,29 @@ def test_float_apply_is_bit_identical(data):
         assert applied == reference_apply(t, x)
         if t.order > 1:
             assert all(type(v) is float for v in applied)
+
+
+@KERNEL
+@given(st.data())
+def test_exact_apply_with_zero_and_negative_components(data):
+    # a key of distinct indices divides one product by each component; a zero component
+    # leaves the division to the per-target products, and a negative one must divide exactly
+    t = data.draw(distinct_key_tensors(st.integers(2, 8)) | hypergraphs().map(e_adjacency_tensor))
+    x = data.draw(vectors(t, rationals.filter(bool)))
+    x[data.draw(st.integers(0, t.dim - 1))] *= -1
+    assert t.apply(x) == reference_apply(t, x)
+    x[data.draw(st.integers(0, t.dim - 1))] = Fraction(0)
+    assert t.apply(x) == reference_apply(t, x)
+
+
+@KERNEL
+@given(hypergraphs().filter(lambda h: h.k_max >= 2))
+def test_layered_plan_is_one_run_of_bare_keys(h):
+    # every key of the layered tensor has distinct indices and the coefficient 1/(k-1)!·(k-1)! = 1.0
+    t = e_adjacency_tensor(h)
+    [(fold, entries)] = _float_plan(t.entries, t.order)
+    assert fold is _unrolled(t.order, False)
+    assert entries == sorted(t.entries)
 
 
 def reference_power_iteration(t: SymTensor, tol: float, max_iter: int) -> EigenPair:

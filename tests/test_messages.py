@@ -13,6 +13,7 @@ from hgtensor import (
     degree,
     dnf_extract,
     is_k_adjacent,
+    layer_counts_from_tensor,
     special_vertex_indices,
     vertex_degrees_from_tensor,
 )
@@ -37,7 +38,18 @@ CASES = {
         "key (1, 1) repeats an index",
     ),
     "negative tensor dim": (lambda: SymTensor(2, -1, {}), "tensor dimension must be nonnegative"),
-    "slice sum at 0": (lambda: TRIANGLE.slice_sum(0), "index 0 outside [1, 3]"),
+    # a slice index is checked as a key's component is, and a vertex count as a vertex index
+    "slice sum at 0": (lambda: TRIANGLE.slice_sum(0), "index (0,) has an index outside [1, 3]"),
+    "float slice sum": (lambda: TRIANGLE.slice_sum(1.5), "index (1.5,) has a non-integer index"),
+    "bool slice sum": (lambda: TRIANGLE.slice_sum(True), "index (True,) has a non-integer index"),
+    "bool degrees vertex count": (
+        lambda: vertex_degrees_from_tensor(TRIANGLE, True),
+        "vertex count must be an integer, got True",
+    ),
+    "float layer counts vertex count": (
+        lambda: layer_counts_from_tensor(TRIANGLE, 2.0),
+        "vertex count must be an integer, got 2.0",
+    ),
     "negative special-vertex n": (
         lambda: special_vertex_indices(-1, 2),
         "need n >= 0 and k_max >= 1",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -55,11 +56,11 @@ def reference_check(t: SymTensor, value, x, tol):
     return residual, threshold, residual <= threshold
 
 
-def reference_unrolled(width: int):
-    """The per-index product loop, in the shape of symtensor._unrolled."""
+def reference_unrolled(width: int, scaled: bool):
+    """The per-index product loop, in the shape of symtensor._unrolled: bare keys fold with c = 1.0."""
 
     def fold(entries, xs, out):
-        for key, c in entries:
+        for key, c in entries if scaled else zip(entries, repeat(1.0)):
             for i in key:
                 product = c
                 for j in key:
