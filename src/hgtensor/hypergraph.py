@@ -23,6 +23,12 @@ def _as_edge(vertices: Iterable[int], n: int) -> Edge:
     return edge
 
 
+def _vertex_count(n: int) -> None:
+    """Refuse a vertex count that is not an int, as a vertex index is refused; a bool is not a count."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+
+
 def _trusted(cls, *values):
     """cls(*values) without __post_init__: only for values canonical by construction."""
     obj = object.__new__(cls)
@@ -43,6 +49,7 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        _vertex_count(self.n)
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = tuple(_as_edge(e, self.n) for e in self.edges)

@@ -136,11 +136,13 @@ def hypergraph_polynomial(
     its sorted edges, each followed by the suffix, with the one coefficient c_s * s.
     """
     dec = decompose(h)
-    suffixes = _padding_suffixes(h.n, dec.k_max)
+    sizes = (s for s, layer in enumerate(dec.layers, start=1) if layer.edges)
+    suffixes = _padding_suffixes(h.n, dec.k_max, sizes)
     monomials: dict[Monomial, Fraction] = {}
     for s, (c, layer) in enumerate(zip(layer_coefficients(policy, dec.k_max), dec.layers), start=1):
-        keys = map(add, map(tuple, map(sorted, layer.edges)), repeat(suffixes[s]))
-        monomials.update(zip(keys, repeat(c * s)))
+        if layer.edges:  # an empty layer adds nothing and has no suffix
+            keys = map(add, map(tuple, map(sorted, layer.edges)), repeat(suffixes[s]))
+            monomials.update(zip(keys, repeat(c * s)))
     return _trusted(HomogeneousPolynomial, dec.k_max, h.n + dec.k_max - 1, monomials)
 
 

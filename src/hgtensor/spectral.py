@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Sequence
 
@@ -78,26 +78,47 @@ class BoundReport:
     disks: tuple[tuple[Fraction | float, Fraction | float], ...]
 
 
-def _degree_bound(h: Hypergraph) -> tuple[int, int, int]:
-    """(Delta, Delta*, max of the two), counted from the edges alone."""
+def _slice_masses(h: Hypergraph) -> tuple[Counter, list[int]]:
+    """(degrees, padding): the layered tensor's slice sums, counted from the edges alone.
+
+    ``degrees`` counts each vertex's edges; ``padding[j-1]`` counts the edges of
+    size <= j, the ones padding vertex n+j lies on, for j in 1..k_max-1.
+    """
     if h.p == 0:
         raise ValueError("the bound needs at least one edge")
-    delta = max(Counter(chain.from_iterable(h.edges)).values())
-    k = h.k_max
-    delta_star = sum(1 for e in h.edges if len(e) < k)
+    sizes = Counter(map(len, h.edges))
+    padding = list(accumulate(map(sizes.__getitem__, range(1, max(sizes)))))
+    return Counter(chain.from_iterable(h.edges)), padding
+
+
+def _degree_bound(h: Hypergraph) -> tuple[int, int, int]:
+    """(Delta, Delta*, max of the two), counted from the edges alone."""
+    degrees, padding = _slice_masses(h)
+    delta, delta_star = max(degrees.values()), max(padding, default=0)
     return delta, delta_star, max(delta, delta_star)
 
 
 def spectral_bound(h: Hypergraph) -> BoundReport:
-    """max(Delta, Delta*) for the layered tensor of h.
+    """max(Delta, Delta*) for the layered tensor of h, with its Gershgorin disks.
 
     Delta is the largest vertex degree; Delta* is the largest padding-vertex
     degree.  Padding vertex n+i lies on the edges of size <= i, so Delta* is
-    the count of edges smaller than k_max.  Every disk radius is one of these
-    degrees, so the bound dominates all Gershgorin disks.
+    the count of edges smaller than k_max.  Every key of the layered tensor
+    holds 1/(k_max-1)! at each of its k_max! positions, so slice i sums to the
+    number of keys holding i: the degree of i.  For k_max >= 2 no key is
+    diagonal, so each disk is (0, that degree) and the bound dominates them
+    all.  For k_max = 1 every key (i,) is diagonal, holding 1: the disk of a
+    vertex on an edge is (1, 0).  The disks are counted from the edges, as
+    ``gershgorin_disks(e_adjacency_tensor(h))`` would give them, with no
+    tensor built; equal values share one ``Fraction``.
     """
-    delta, delta_star, bound = _degree_bound(h)
-    return BoundReport(delta, delta_star, bound, gershgorin_disks(e_adjacency_tensor(h)))
+    degrees, padding = _slice_masses(h)
+    delta, delta_star = max(degrees.values()), max(padding, default=0)
+    shared = {c: Fraction(c) for c in {0, *degrees.values(), *padding}}
+    masses = list(map(shared.__getitem__, chain(map(degrees.get, range(1, h.n + 1), repeat(0)), padding)))
+    zero = repeat(shared[0])
+    disks = tuple(zip(zero, masses) if padding else zip(masses, zero))  # no padding: k_max = 1
+    return BoundReport(delta, delta_star, max(delta, delta_star), disks)
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,8 @@ def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[in
     value object v, one C-level count of the index occurrences, times m!·v,
     sums the keys as if each had distinct indices, and only the keys that
     repeat an index are walked, to add v·(w(key) − m!) at each occurrence;
-    with more value objects every key is walked.  With any float value the
+    with more value objects every key is walked.  Indices with equal counts
+    share one numerator object.  With any float value the
     map holds the float sums themselves and the denominator is None; they add
     the float coefficient of every target in canonical key order, as the
     contraction does, whatever order the entries were inserted in.
@@ -217,8 +218,10 @@ def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[in
         repeats = compress(entries, map(order.__ne__, map(len, map(set, entries))))
         walk, counted = zip(repeats, repeat(value)), math.factorial(order)  # w(key) of distinct indices
         v = numerators[id(value)] * counted
-        for index, count in Counter(chain.from_iterable(entries)).items():
-            sums[index] = v * count
+        counts = Counter(chain.from_iterable(entries))
+        # one product per distinct count, shared by its indices: counts repeat, and v can be huge
+        products = {c: v * c for c in set(counts.values())}
+        sums.update(zip(counts, map(products.__getitem__, counts.values())))
     for key, value in walk:
         v = numerators[id(value)] * (multiplicity_weight(key) - counted)
         for i in key:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, getitem
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size
+from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size, _vertex_count
 from .layers import decompose
 from .symtensor import SymTensor, _quotient, _slice_numerators, _total
 
@@ -52,6 +52,7 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
 
 def special_vertex_indices(n: int, k_max: int) -> tuple[int, ...]:
     """The padding vertex indices n+1..n+k_max-1, in augmentation order."""
+    _vertex_count(n)
     if n < 0 or k_max < 1:
         raise ValueError("need n >= 0 and k_max >= 1")
     return tuple(range(n + 1, n + k_max))
@@ -117,7 +118,8 @@ def layered_uniform(h: Hypergraph, policy: CoefficientPolicy = "handshake") -> L
     """
     dec = decompose(h)
     coefficients = layer_coefficients(policy, dec.k_max)
-    suffixes = _padding_suffixes(h.n, dec.k_max)
+    sizes = (s for s, layer in enumerate(dec.layers, start=1) if layer.edges)
+    suffixes = _padding_suffixes(h.n, dec.k_max, sizes)
     edges = tuple(e.union(suffixes[s]) for s, layer in enumerate(dec.layers, start=1) for e in layer.edges)
     weights = tuple(c for c, layer in zip(coefficients, dec.layers) for _ in layer.edges)
     uniform = WeightedHypergraph(_trusted(Hypergraph, h.n + dec.k_max - 1, edges), weights)
@@ -142,9 +144,13 @@ def tensor_from_layered_uniform(lu: LayeredUniform) -> SymTensor:
     return SymTensor(k, lu.uniform.base.n, entries)
 
 
-def _padding_suffixes(n: int, k: int) -> list[tuple[int, ...]]:
-    """The padding suffix (n+s, ..., n+k-1) of an edge of size s, for s in 0..k."""
-    return [tuple(range(n + s, n + k)) for s in range(k + 1)]
+def _padding_suffixes(n: int, k: int, sizes: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """{s: (n+s, ..., n+k-1)}, the padding suffix of an edge of size s, for each size given.
+
+    Only the sizes that occur get a suffix, so the table is no larger than the
+    keys it pads: one edge of k vertices gets one empty suffix, not k²/2 indices.
+    """
+    return {s: tuple(range(n + s, n + k)) for s in set(sizes)}
 
 
 def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
@@ -155,9 +161,10 @@ def e_adjacency_tensor(h: Hypergraph) -> SymTensor:
     """
     if h.p == 0:
         raise ValueError("cannot build a tensor for a hypergraph with no edges")
-    k = h.k_max
+    sizes = set(map(len, h.edges))
+    k = max(sizes)
     value = Fraction(1, math.factorial(k - 1))
-    suffixes = _padding_suffixes(h.n, k)
+    suffixes = _padding_suffixes(h.n, k, sizes)
     entries = {tuple(sorted(e)) + suffixes[len(e)]: value for e in h.edges}
     return _trusted(SymTensor, k, h.n + k - 1, entries)
 
@@ -169,10 +176,20 @@ def _as_int(numerator, den: int | None, what: str) -> int:
     return int(numerator) // (den or 1)
 
 
-def _vertex_count(n: int) -> None:
-    """Refuse a vertex count that is not an int, as a vertex index is refused; a bool is not a count."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
+def _slice_ints(sums: dict, den: int | None, indices: Iterable[int]) -> list[int]:
+    """The slice sums at the given indices as nonnegative ints, checked in the order given.
+
+    Equal counts share one numerator object, so each object is divided once:
+    one edge of k vertices gives k equal numerators of about log2(k!) bits.
+    """
+    ints: dict[int, int] = {}
+    out = []
+    for i in indices:
+        s = sums.get(i, 0)
+        if id(s) not in ints:
+            ints[id(s)] = _as_int(s, den, f"slice sum {i}")
+        out.append(ints[id(s)])
+    return out
 
 
 def _layered_order(t: SymTensor, n: int) -> int:
@@ -193,8 +210,9 @@ def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
     sums, den = _slice_numerators(t.entries, t.order)
     result = [0] * n
-    for i in sorted(i for i in sums if i <= n):  # in index order, so the first bad sum is named
-        result[i - 1] = _as_int(sums[i], den, f"slice sum {i}")
+    touched = sorted(i for i in sums if i <= n)  # in index order, so the first bad sum is named
+    for i, d in zip(touched, _slice_ints(sums, den, touched)):
+        result[i - 1] = d
     return tuple(result)
 
 
@@ -207,7 +225,7 @@ def layer_counts_from_tensor(t: SymTensor, n: int) -> tuple[tuple[int, ...], tup
     """
     k = _layered_order(t, n)
     sums, den = _slice_numerators(t.entries, k)
-    cumulative = [_as_int(sums.get(i, 0), den, f"slice sum {i}") for i in range(n + 1, n + k)]
+    cumulative = _slice_ints(sums, den, range(n + 1, n + k))
     total = Fraction(_total(sums, den))
     cumulative.append(_as_int(total.numerator, total.denominator * k, "total_sum / order"))
     per_size = []
@@ -232,9 +250,9 @@ def reconstruct(t: SymTensor, n: int) -> Hypergraph:
     first bad key in key order is named.
     """
     k = _layered_order(t, n)
-    suffixes = _padding_suffixes(n, k)
     keys = sorted(t.entries)
     cuts = list(map(bisect_right, keys, repeat(n)))
+    suffixes = _padding_suffixes(n, k, cuts)
     edges = tuple(map(frozenset, map(getitem, keys, map(slice, cuts))))
     paddings = map(getitem, keys, map(slice, cuts, repeat(None)))
     # with its padding the suffix, a key repeats an index exactly when its edge is shorter than its prefix

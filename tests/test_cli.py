@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -429,6 +430,25 @@ class TestGraphCheck:
         assert err.startswith("error:")
 
 
+def run_capped(argv: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """The CLI in a child process that caps its own address space at 1 GB."""
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from hgtensor.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+
+
 class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "info", str(DATA / "no-such-file.hg"))
@@ -451,36 +471,17 @@ class TestErrorHandling:
         assert code == 64
         assert "usage error:" in err
 
-    @staticmethod
-    def run_capped(argv: list[str], stdin: str = "") -> subprocess.CompletedProcess:
-        """The CLI in a child process that caps its own address space at 1 GB."""
-        pytest.importorskip("resource")
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-            "from hgtensor.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        return subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            input=stdin,
-            capture_output=True,
-            text=True,
-            env=CHILD_ENV,
-            timeout=60,
-        )
-
     @pytest.mark.parametrize("argv", ["alpha --k {big} --s 2", "partitions --m {big} --s 1"])
     def test_too_large_an_integer_is_a_data_error(self, argv):
         # capped: without a check, alpha would build 2**(10**400)
-        proc = self.run_capped(argv.format(big=10**400).split())
+        proc = run_capped(argv.format(big=10**400).split())
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["eig", "graph-check"])
     def test_out_of_memory_is_a_data_error(self, command):
         # 10**10 vertices: the eigensolver's dim-long vectors cannot fit in 1 GB
-        proc = self.run_capped([command, "-"], "10000000000\n1 2\n")
+        proc = run_capped([command, "-"], "10000000000\n1 2\n")
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
@@ -702,6 +703,39 @@ class TestClosedFormProbes:
         assert proc.stdout.startswith("1 1\n2 1\n3 0\n")
         assert proc.stdout.endswith("\n3000000 0\n")
         assert proc.stdout.count("\n") == 3000000
+
+
+WIDE = 24000
+WIDE_EDGE = " ".join(map(str, range(1, WIDE + 1)))  # with its header, a 134 KB file
+
+
+def wide_edge_output(command: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of command on one edge holding all WIDE vertices."""
+    if command == "degrees":
+        return 0, "".join(f"{v} 1\n" for v in range(1, WIDE + 1)), ""
+    if command == "cardinalities":
+        counts = [0] * (WIDE - 1) + [1]
+        lines = [f"cumulative_{j}={c}" for j, c in enumerate(counts, 1)] + [f"size_{j}={c}" for j, c in enumerate(counts, 1)]
+        return 0, "".join(line + "\n" for line in lines), ""
+    if command == "reconstruct":
+        return 0, f"{WIDE}\n{WIDE_EDGE}\n", ""
+    if command == "poly":  # handshake: c_k * k = k
+        monomial = "*".join(f"z_{i}" for i in range(1, WIDE + 1))
+        return 0, f"poly v1 degree={WIDE} vars={2 * WIDE - 1}\n{WIDE} * {monomial}\n", ""
+    # the value 1/23999! has a 94701-digit denominator
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0, f"symtensor v1 order={WIDE} dim={2 * WIDE - 1}\n{WIDE_EDGE} 1/{math.factorial(WIDE - 1)}\n", ""
+    return 1, "", "error: a value's denominator has 94701 digits, above the limit of 4300 digits for printing an integer\n"
+
+
+@pytest.mark.parametrize("command", ["degrees", "cardinalities", "reconstruct", "poly", "tensor"])
+def test_one_edge_of_24000_vertices_in_a_capped_child(command):
+    # a table of every padding suffix (k²/2 indices), or one k!-sized numerator per vertex,
+    # needs gigabytes and ends in "error: out of memory" under the cap; about 30 MB suffice
+    start = time.perf_counter()
+    proc = run_capped([command, "-"], f"{WIDE}\n{WIDE_EDGE}\n")
+    assert time.perf_counter() - start < 10.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == wide_edge_output(command)
 
 
 class TestUnconvergedGraphCheck:

@@ -14,17 +14,26 @@ and ``tracemalloc`` probes elsewhere cover that.  One of them is
 ``TestClosedFormProbes.test_poly_of_pairs_and_one_edge_of_400_vertices`` in
 ``tests/test_cli.py``: re-tupling every monomial once per padding variable
 happens in C, so along k_max it grows only about 3.3x in line events here.
+
+Memory has its own k_max axis: one edge of 2000 and of 8000 vertices, each
+stage's ``tracemalloc`` peak.  The keys, suffixes and slice sums it builds
+are linear in k_max (the value 1/(k_max-1)! grows as log k_max!, about 4.8x
+here), so a peak grows about 4x; a table of every padding suffix, k_max²/2
+indices, grows 16x.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hgtensor import (
+    Hypergraph,
     banerjee_tensor,
     compare_tensors,
     dnf_extract,
@@ -140,3 +149,51 @@ def test_stage_grows_at_most_linearly(ratios, stage):
 def test_stage_grows_at_most_linearly_in_k_max(k_max_ratios, stage):
     ratio = k_max_ratios[stage]
     assert ratio <= RATIO_BOUND, f"{stage}: {ratio:.2f}x the line events with k_max grown 20 -> 80"
+
+
+def one_edge_stages(k: int) -> dict:
+    """One zero-argument call per stage on one edge of k vertices, the tensor built beforehand."""
+    h = Hypergraph(k, (frozenset(range(1, k + 1)),))
+    t = e_adjacency_tensor(h)
+    return {
+        "e_adjacency_tensor": lambda: e_adjacency_tensor(h),
+        "layered_uniform": lambda: layered_uniform(h),
+        "poly": lambda: hypergraph_polynomial(h),
+        "degrees": lambda: vertex_degrees_from_tensor(t, h.n),
+        "cardinalities": lambda: layer_counts_from_tensor(t, h.n),
+        "reconstruct": lambda: reconstruct(t, h.n),
+        "bound": lambda: spectral_bound(h),
+    }
+
+
+MEMORY_STAGES = list(one_edge_stages(1))
+MEMORY_RATIO_BOUND = 5.0  # linear stages measure 3.9-4.4; a k_max² table 16
+
+
+def peak_bytes(call) -> int:
+    """The tracemalloc peak of call(), after one untraced warm-up call.
+
+    A full collection empties the interpreter's free lists first: otherwise the
+    warm-up leaves up to 2000 small tuples there, which the traced call reuses
+    unseen, and the smaller input's peak reads low.
+    """
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def k_max_peak_ratios() -> dict[str, float]:
+    small, large = one_edge_stages(2000), one_edge_stages(8000)
+    return {name: peak_bytes(large[name]) / peak_bytes(small[name]) for name in MEMORY_STAGES}
+
+
+@pytest.mark.parametrize("stage", MEMORY_STAGES)
+def test_stage_memory_grows_at_most_linearly_in_k_max(k_max_peak_ratios, stage):
+    ratio = k_max_peak_ratios[stage]
+    assert ratio <= MEMORY_RATIO_BOUND, f"{stage}: {ratio:.2f}x the peak memory with one edge grown 2000 -> 8000"

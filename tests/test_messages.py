@@ -14,6 +14,7 @@ from hgtensor import (
     dnf_extract,
     is_k_adjacent,
     layer_counts_from_tensor,
+    reconstruct,
     special_vertex_indices,
     vertex_degrees_from_tensor,
 )
@@ -48,6 +49,23 @@ CASES = {
     ),
     "float layer counts vertex count": (
         lambda: layer_counts_from_tensor(TRIANGLE, 2.0),
+        "vertex count must be an integer, got 2.0",
+    ),
+    # one vertex-count rule for the hypergraph, the padding indices and the layered readers
+    "float hypergraph vertex count": (
+        lambda: Hypergraph(2.5, ((1, 2),)),
+        "vertex count must be an integer, got 2.5",
+    ),
+    "bool hypergraph vertex count": (
+        lambda: Hypergraph(True, ((1,),)),
+        "vertex count must be an integer, got True",
+    ),
+    "bool special-vertex n": (
+        lambda: special_vertex_indices(True, 3),
+        "vertex count must be an integer, got True",
+    ),
+    "float reconstruct vertex count": (
+        lambda: reconstruct(TRIANGLE, 2.0),
         "vertex count must be an integer, got 2.0",
     ),
     "negative special-vertex n": (

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgtensor import (
@@ -24,6 +24,7 @@ from hgtensor import (
     spectral_bound,
     symtensor,
 )
+from hgtensor.spectral import _degree_bound
 
 from conftest import random_hypergraph, random_uniform_hypergraph
 
@@ -173,6 +174,42 @@ class TestBound:
     def test_rejects_edgeless(self):
         with pytest.raises(ValueError, match="at least one edge"):
             spectral_bound(Hypergraph(3))
+
+
+@st.composite
+def bound_inputs(draw) -> Hypergraph:
+    """Hypergraphs on 1-7 vertices with 0-2 more isolated: edges capped at 1-n vertices, maybe one of all n."""
+    n = draw(st.integers(1, 7))
+    edge = st.frozensets(st.integers(1, n), min_size=1, max_size=draw(st.integers(1, n)))
+    edges = draw(st.lists(edge, min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        edges.append(frozenset(range(1, n + 1)))
+    return Hypergraph(n + draw(st.integers(0, 2)), tuple(dict.fromkeys(edges)))
+
+
+class TestClosedFormBound:
+    """spectral_bound counts the disks off the edges; the built tensor's disks cross-check them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bound_inputs())
+    @example(Hypergraph(4, (frozenset({1}), frozenset({3}))))  # k_max = 1, isolated vertices 2 and 4
+    @example(Hypergraph(1, (frozenset({1}),)))  # one edge of size 1 holding every vertex
+    @example(Hypergraph(5, (frozenset(range(1, 6)),)))  # one edge holding every vertex
+    @example(Hypergraph(6, (frozenset({1}), frozenset({2, 3, 4}))))  # isolated vertices 5 and 6
+    def test_disks_and_degrees_match_the_built_tensor(self, h):
+        report = spectral_bound(h)
+        assert report.disks == gershgorin_disks(e_adjacency_tensor(h))
+        assert (report.delta, report.delta_star, report.bound) == _degree_bound(h)
+        assert report.bound == max(c + r for c, r in report.disks)
+        values = [v for disk in report.disks for v in disk]
+        assert {type(v) for v in values} == {Fraction}
+        # one shared zero and one shared Fraction per distinct center or radius
+        assert len(set(map(id, values))) == len(set(values))
+
+    def test_order_one_disks_hold_the_diagonal(self):
+        report = spectral_bound(Hypergraph(4, (frozenset({1}), frozenset({3}))))
+        assert report.disks == ((1, 0), (0, 0), (1, 0), (0, 0))
+        assert (report.delta, report.delta_star, report.bound) == (1, 0, 1)
 
 
 class TestPowerIteration:
