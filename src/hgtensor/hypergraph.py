@@ -23,10 +23,10 @@ def _as_edge(vertices: Iterable[int], n: int) -> Edge:
     return edge
 
 
-def _vertex_count(n: int) -> None:
-    """Refuse a vertex count that is not an int, as a vertex index is refused; a bool is not a count."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
+def _integer(value: int, what: str) -> None:
+    """Refuse a count that is not an int, as a vertex index is refused; a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _trusted(cls, *values):
@@ -49,7 +49,7 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _vertex_count(self.n)
+        _integer(self.n, "vertex count")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized = tuple(_as_edge(e, self.n) for e in self.edges)

@@ -28,6 +28,10 @@ from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 Key = tuple[int, ...]
 Value = Fraction | float
 _CHUNK = 64  # widest key _unrolled takes: its source grows as width², and ~3000 factors fail to compile
+# a total counts shared numerator objects past this length: adding a numerator costs about
+# 0.03 ns per bit and counting its id about 0.2 µs, which cross near 6000 bits (2004 sums of
+# 22 objects, 2-core x86_64 VM, Python 3.11)
+_LONG_BITS = 8192
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
@@ -237,12 +241,20 @@ def _quotient(numerator: Value, den: int | None) -> Value:
 def _total(sums: dict[int, Value], den: int | None) -> Value:
     """The sum of every slice sum, from the map ``_slice_numerators`` returns.
 
-    Integers add exactly in any order; floats add in index order, as a list
-    of every slice sum would.
+    Integers add exactly in any order.  A numerator is its slice sum times den,
+    so when den is longer than _LONG_BITS each distinct numerator object is
+    multiplied by the number of indices sharing it: one edge of k vertices
+    gives k references to a few numbers of about log2(k!) bits.  Shorter
+    numerators add faster than their ids are counted.  Floats add in index
+    order, as a list of every slice sum would.
     """
     if den is None:
         return sum(s for _, s in sorted(sums.items()))
-    return Fraction(sum(sums.values()), den)
+    if den.bit_length() <= _LONG_BITS:
+        return Fraction(sum(sums.values()), den)
+    objects = _value_objects(sums.values())
+    shares = Counter(map(id, sums.values()))
+    return Fraction(sum(objects[i] * c for i, c in shares.items()), den)
 
 
 def _slice_list(entries: Mapping[Key, Value], order: int, dim: int) -> list:
@@ -399,16 +411,48 @@ class SymTensor:
     def _coo_lines(self) -> Iterator[str]:
         """The lines of ``to_coo``, each ending in a newline, made one at a time.
 
-        Keys go through one ``%d`` row format.  A value is formatted again only
-        when its object differs from the previous key's: a run of one shared
-        value is formatted once, and no string is kept per key.
+        When the texts of the indices 0..dim, about 64 bytes each, cost no more
+        than the sorted keys, 8 bytes each, each index is formatted once and
+        ``_coo_rows`` joins every row from those texts.  Otherwise, as in a
+        sparse tensor of large dimension, keys go through one ``%d`` row format.
+        A value is formatted again only when its object differs from the
+        previous key's: a run of one shared value is formatted once, and no
+        string is kept per key.
         """
         yield f"symtensor v1 order={self.order} dim={self.dim}\n"
+        if 8 * (self.dim + 1) <= len(self.entries):
+            keys = sorted(self.entries)
+            texts = list(map(str, range(self.dim + 1)))
+            yield from _coo_rows(self.order)(zip(keys, map(self.entries.__getitem__, keys)), texts)
+            return
         row, last = " ".join(["%d"] * self.order), None
         for key, value in self.canonical_items():
             if value is not last:
                 last, text = value, f" {format_value(value)}\n"
             yield row % key + text
+
+
+@functools.cache
+def _coo_rows(width: int):
+    """rows(items, texts): the COO line of each (key, value), its indices read from texts.
+
+    One loop per key width unpacks the key in its target and joins the texts of
+    its indices in one f-string; a value is formatted again only when its object
+    differs from the previous key's.
+    """
+    # the source is made from integers alone, as _unrolled's is: no index or value enters it
+    target = "".join(f"j{k}, " for k in range(width))
+    row = " ".join(f"{{texts[j{k}]}}" for k in range(width))
+    lines = [
+        "def rows(items, texts):",
+        "    last = None",
+        f"    for ({target}), value in items:",
+        "        if value is not last:",
+        "            last, tail = value, f' {format_value(value)}\\n'",
+        f"        yield f'{row}{{tail}}'",
+    ]
+    exec("\n".join(lines), namespace := {"format_value": format_value})
+    return namespace["rows"]
 
 
 def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import eq, getitem
 from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, WeightedHypergraph, _trusted, _uniform_size, _vertex_count
+from .hypergraph import Hypergraph, WeightedHypergraph, _integer, _trusted, _uniform_size
 from .layers import decompose
 from .symtensor import SymTensor, _quotient, _slice_numerators, _total
 
@@ -34,6 +34,7 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
     way every graph edge is counted twice in a degree sum.  An explicit
     sequence of k_max positive rationals is accepted as-is.
     """
+    _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if isinstance(policy, str):
@@ -52,7 +53,8 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
 
 def special_vertex_indices(n: int, k_max: int) -> tuple[int, ...]:
     """The padding vertex indices n+1..n+k_max-1, in augmentation order."""
-    _vertex_count(n)
+    _integer(n, "vertex count")
+    _integer(k_max, "k_max")
     if n < 0 or k_max < 1:
         raise ValueError("need n >= 0 and k_max >= 1")
     return tuple(range(n + 1, n + k_max))
@@ -194,7 +196,7 @@ def _slice_ints(sums: dict, den: int | None, indices: Iterable[int]) -> list[int
 
 def _layered_order(t: SymTensor, n: int) -> int:
     """The order k of t, after checking that t has the layered shape dim = n + k - 1, n >= 0."""
-    _vertex_count(n)
+    _integer(n, "vertex count")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     k = t.order
@@ -205,7 +207,7 @@ def _layered_order(t: SymTensor, n: int) -> int:
 
 def vertex_degrees_from_tensor(t: SymTensor, n: int) -> tuple[int, ...]:
     """Original vertex degrees, read as the first n slice sums."""
-    _vertex_count(n)
+    _integer(n, "vertex count")
     if not 0 <= n <= t.dim:
         raise ValueError(f"original vertex count {n} outside [0, {t.dim}]")
     sums, den = _slice_numerators(t.entries, t.order)

@@ -24,7 +24,7 @@ import math
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +48,7 @@ from hgtensor import (
     vertex_degrees_from_tensor,
 )
 from hgtensor.polynomials import _partial_padding_evaluation
-from hgtensor.symtensor import _CHUNK, _float_plan, _unrolled, format_value
+from hgtensor.symtensor import _CHUNK, _LONG_BITS, _coo_rows, _float_plan, _slice_numerators, _unrolled, format_value
 from hgtensor.uniformize import _layered_order
 
 from test_growth import pairs_text
@@ -493,6 +493,19 @@ def test_integer_readers_on_mixed_hypergraphs(data):
     assert cumulative[-1] == h.p and all(type(c) is int for c in cumulative + per_size)
 
 
+def test_total_of_long_numerators_counts_their_shares():
+    # one edge of 1200 vertices puts den = 1200! past _LONG_BITS: 2399 numerators, few objects
+    edges = (frozenset(range(1, 1201)), frozenset({1, 2}), frozenset({3}), frozenset({2, 5, 7}))
+    h = Hypergraph(1200, edges)
+    t = e_adjacency_tensor(h)
+    sums, den = _slice_numerators(t.entries, t.order)
+    assert den.bit_length() > _LONG_BITS
+    assert t.total_sum() == Fraction(sum(sums.values()), den) == h.k_max * h.p
+    cumulative, per_size = layer_counts_from_tensor(t, h.n)
+    assert cumulative[:3] == (1, 2, 3) and cumulative[-2:] == (3, 4)
+    assert per_size == (1, 1, 1) + (0,) * 1196 + (1,)
+
+
 @KERNEL
 @given(layered_shape_tensors())
 def test_integer_readers_raise_the_reference_messages(case):
@@ -620,14 +633,32 @@ coo_values = (
 )
 
 
+# (order, dim) pairs with at least 8·(dim+1) canonical keys, enough to reach the index-text rows
+DENSE_SHAPES = [(6, 4), (7, 3), (8, 3), (8, 4), (200, 2)]
+
+
 @st.composite
 def coo_tensors(draw):
-    """Tensors of orders 1-6 whose values are shared objects, new per key, or a mix."""
-    order = draw(st.integers(1, 6))
-    dim = draw(st.integers(1, 6) | st.just(10**7))
-    index = st.integers(1, dim) if dim < 10 else st.sampled_from([1, 2, 999, dim - 1, dim])
-    key = st.lists(index, min_size=order, max_size=order).map(lambda k: tuple(sorted(k)))
-    keys = draw(st.lists(key, max_size=12, unique=True))
+    """Tensors whose values are shared objects, new per key, or a mix, on both sides of the writer's rule.
+
+    Sparse draws (orders 1-6, dim 1-6 or 10**7, up to 12 keys) hold fewer than 8·(dim+1) keys
+    and take the ``%d`` rows.  Dense draws (orders 6-8 over dim 3-4, order 200 over dim 2) hold
+    at least that many keys, every one repeating an index, and take the index-text rows; boundary
+    draws hold exactly 8·(dim+1) keys or one fewer.
+    """
+    kind = draw(st.sampled_from(["sparse", "dense", "boundary"]))
+    if kind == "sparse":
+        order = draw(st.integers(1, 6))
+        dim = draw(st.integers(1, 6) | st.just(10**7))
+        index = st.integers(1, dim) if dim < 10 else st.sampled_from([1, 2, 999, dim - 1, dim])
+        key = st.lists(index, min_size=order, max_size=order).map(lambda k: tuple(sorted(k)))
+        keys = draw(st.lists(key, max_size=12, unique=True))
+    else:
+        order, dim = draw(st.sampled_from(DENSE_SHAPES))
+        every = list(combinations_with_replacement(range(1, dim + 1), order))
+        need = 8 * (dim + 1)
+        count = draw(st.sampled_from([need - 1, need]) if kind == "boundary" else st.integers(need, need + 24))
+        keys = draw(st.permutations(every))[:count]
     pool = draw(st.lists(coo_values, min_size=1, max_size=3))
     if draw(st.booleans()):  # equal to pool[0], yet written num/den where pool[0] is a float
         pool.append(Fraction(pool[0]))
@@ -661,3 +692,27 @@ def test_coo_lines_keep_no_string_per_key():
     finally:
         tracemalloc.stop()
     assert peak < 16 * len(t.entries)  # the sorted keys; each line takes over 60 bytes
+
+
+def test_coo_rows_from_index_texts_from_eight_keys_per_index():
+    # order 200 over dim 2: the texts of indices 0..2 cost no more than 24 sorted keys
+    keys = list(combinations_with_replacement(range(1, 3), 200))
+    for count, texts in ((23, 0), (24, 1)):
+        _coo_rows.cache_clear()
+        t = SymTensor(200, 2, dict.fromkeys(keys[:count], Fraction(1, 3)))
+        assert t.to_coo() == reference_coo(t)
+        assert _coo_rows.cache_info().misses == texts
+
+
+def test_coo_index_texts_keep_no_string_per_key():
+    # every 3-subset of 20 vertices: dim 20 against 1140 keys, one float object per key
+    t = layer_tensor_eigen_normalized(Hypergraph(20, tuple(map(frozenset, combinations(range(1, 21), 3)))))
+    assert len({id(v) for v in t.entries.values()}) == len(t.entries) >= 8 * (t.dim + 1)
+    deque(t._coo_lines(), maxlen=0)  # the first call generates the rows loop of width 3
+    tracemalloc.start()
+    try:
+        deque(t._coo_lines(), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(t.entries)  # the sorted keys and 21 index texts; each line takes over 60 bytes

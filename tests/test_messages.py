@@ -13,6 +13,7 @@ from hgtensor import (
     degree,
     dnf_extract,
     is_k_adjacent,
+    layer_coefficients,
     layer_counts_from_tensor,
     reconstruct,
     special_vertex_indices,
@@ -67,6 +68,23 @@ CASES = {
     "float reconstruct vertex count": (
         lambda: reconstruct(TRIANGLE, 2.0),
         "vertex count must be an integer, got 2.0",
+    ),
+    # k_max is an integer by the same rule
+    "float special-vertex k_max": (
+        lambda: special_vertex_indices(3, 2.5),
+        "k_max must be an integer, got 2.5",
+    ),
+    "bool special-vertex k_max": (
+        lambda: special_vertex_indices(3, True),
+        "k_max must be an integer, got True",
+    ),
+    "float unit-policy k_max": (
+        lambda: layer_coefficients("unit", 2.5),
+        "k_max must be an integer, got 2.5",
+    ),
+    "bool handshake-policy k_max": (
+        lambda: layer_coefficients("handshake", True),
+        "k_max must be an integer, got True",
     ),
     "negative special-vertex n": (
         lambda: special_vertex_indices(-1, 2),
