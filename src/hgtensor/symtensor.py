@@ -28,10 +28,6 @@ from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
 Key = tuple[int, ...]
 Value = Fraction | float
 _CHUNK = 64  # widest key _unrolled takes: its source grows as width², and ~3000 factors fail to compile
-# a total counts shared numerator objects past this length: adding a numerator costs about
-# 0.03 ns per bit and counting its id about 0.2 µs, which cross near 6000 bits (2004 sums of
-# 22 objects, 2-core x86_64 VM, Python 3.11)
-_LONG_BITS = 8192
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
@@ -241,17 +237,13 @@ def _quotient(numerator: Value, den: int | None) -> Value:
 def _total(sums: dict[int, Value], den: int | None) -> Value:
     """The sum of every slice sum, from the map ``_slice_numerators`` returns.
 
-    Integers add exactly in any order.  A numerator is its slice sum times den,
-    so when den is longer than _LONG_BITS each distinct numerator object is
-    multiplied by the number of indices sharing it: one edge of k vertices
-    gives k references to a few numbers of about log2(k!) bits.  Shorter
-    numerators add faster than their ids are counted.  Floats add in index
+    Integers add exactly in any order, so each distinct numerator object is
+    multiplied by the number of indices sharing it: one edge of k vertices gives
+    k references to a few numbers of about log2(k!) bits.  Floats add in index
     order, as a list of every slice sum would.
     """
     if den is None:
         return sum(s for _, s in sorted(sums.items()))
-    if den.bit_length() <= _LONG_BITS:
-        return Fraction(sum(sums.values()), den)
     objects = _value_objects(sums.values())
     shares = Counter(map(id, sums.values()))
     return Fraction(sum(objects[i] * c for i, c in shares.items()), den)

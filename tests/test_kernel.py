@@ -48,7 +48,7 @@ from hgtensor import (
     vertex_degrees_from_tensor,
 )
 from hgtensor.polynomials import _partial_padding_evaluation
-from hgtensor.symtensor import _CHUNK, _LONG_BITS, _coo_rows, _float_plan, _slice_numerators, _unrolled, format_value
+from hgtensor.symtensor import _CHUNK, _coo_rows, _float_plan, _slice_numerators, _unrolled, format_value
 from hgtensor.uniformize import _layered_order
 
 from test_growth import pairs_text
@@ -494,12 +494,12 @@ def test_integer_readers_on_mixed_hypergraphs(data):
 
 
 def test_total_of_long_numerators_counts_their_shares():
-    # one edge of 1200 vertices puts den = 1200! past _LONG_BITS: 2399 numerators, few objects
+    # one edge of 1200 vertices makes den over 10 000 bits long: 2399 numerators, few objects
     edges = (frozenset(range(1, 1201)), frozenset({1, 2}), frozenset({3}), frozenset({2, 5, 7}))
     h = Hypergraph(1200, edges)
     t = e_adjacency_tensor(h)
     sums, den = _slice_numerators(t.entries, t.order)
-    assert den.bit_length() > _LONG_BITS
+    assert den.bit_length() > 10_000 and len({id(s) for s in sums.values()}) < 10
     assert t.total_sum() == Fraction(sum(sums.values()), den) == h.k_max * h.p
     cumulative, per_size = layer_counts_from_tensor(t, h.n)
     assert cumulative[:3] == (1, 2, 3) and cumulative[-2:] == (3, 4)
@@ -633,32 +633,32 @@ coo_values = (
 )
 
 
-# (order, dim) pairs with at least 8·(dim+1) canonical keys, enough to reach the index-text rows
-DENSE_SHAPES = [(6, 4), (7, 3), (8, 3), (8, 4), (200, 2)]
+# (order, dim) pairs with at least 8·(dim+1) canonical keys, enough to reach the index-text rows:
+# most keys of orders 2-3 over dim 10-20 hold distinct indices, every key of orders 6-8 over
+# dim 3-4 and of order 200 over dim 2 repeats one
+DENSE_SHAPES = [(2, 20), (3, 10), (6, 4), (7, 3), (8, 3), (8, 4), (200, 2)]
 
 
 @st.composite
-def coo_tensors(draw):
-    """Tensors whose values are shared objects, new per key, or a mix, on both sides of the writer's rule.
+def coo_tensors(draw, dense=False):
+    """Tensors whose values are shared objects, new per key, or a mix, on either side of the writer's rule.
 
     Sparse draws (orders 1-6, dim 1-6 or 10**7, up to 12 keys) hold fewer than 8·(dim+1) keys
-    and take the ``%d`` rows.  Dense draws (orders 6-8 over dim 3-4, order 200 over dim 2) hold
-    at least that many keys, every one repeating an index, and take the index-text rows; boundary
-    draws hold exactly 8·(dim+1) keys or one fewer.
+    and take the ``%d`` rows.  Dense draws hold exactly 8·(dim+1) keys or one fewer, the
+    boundary, or up to 24 keys more, and take the index-text rows from 8·(dim+1) keys on.
     """
-    kind = draw(st.sampled_from(["sparse", "dense", "boundary"]))
-    if kind == "sparse":
+    if dense:
+        order, dim = draw(st.sampled_from(DENSE_SHAPES))
+        every = list(combinations_with_replacement(range(1, dim + 1), order))
+        need = 8 * (dim + 1)
+        count = draw(st.integers(need - 1, need + 24))
+        keys = draw(st.permutations(every))[:count]
+    else:
         order = draw(st.integers(1, 6))
         dim = draw(st.integers(1, 6) | st.just(10**7))
         index = st.integers(1, dim) if dim < 10 else st.sampled_from([1, 2, 999, dim - 1, dim])
         key = st.lists(index, min_size=order, max_size=order).map(lambda k: tuple(sorted(k)))
         keys = draw(st.lists(key, max_size=12, unique=True))
-    else:
-        order, dim = draw(st.sampled_from(DENSE_SHAPES))
-        every = list(combinations_with_replacement(range(1, dim + 1), order))
-        need = 8 * (dim + 1)
-        count = draw(st.sampled_from([need - 1, need]) if kind == "boundary" else st.integers(need, need + 24))
-        keys = draw(st.permutations(every))[:count]
     pool = draw(st.lists(coo_values, min_size=1, max_size=3))
     if draw(st.booleans()):  # equal to pool[0], yet written num/den where pool[0] is a float
         pool.append(Fraction(pool[0]))
@@ -674,6 +674,12 @@ def coo_tensors(draw):
 @KERNEL
 @given(coo_tensors())
 def test_coo_matches_the_joined_indices(t):
+    assert t.to_coo() == reference_coo(t)
+
+
+@KERNEL
+@given(coo_tensors(dense=True))
+def test_coo_index_texts_match_the_joined_indices(t):
     assert t.to_coo() == reference_coo(t)
 
 
@@ -708,7 +714,7 @@ def test_coo_index_texts_keep_no_string_per_key():
     # every 3-subset of 20 vertices: dim 20 against 1140 keys, one float object per key
     t = layer_tensor_eigen_normalized(Hypergraph(20, tuple(map(frozenset, combinations(range(1, 21), 3)))))
     assert len({id(v) for v in t.entries.values()}) == len(t.entries) >= 8 * (t.dim + 1)
-    deque(t._coo_lines(), maxlen=0)  # the first call generates the rows loop of width 3
+    assert t.to_coo() == reference_coo(t)  # the first call generates the rows loop of width 3
     tracemalloc.start()
     try:
         deque(t._coo_lines(), maxlen=0)
