@@ -19,15 +19,12 @@ from .hypergraph import (
     Hypergraph,
     WeightedHypergraph,
     adjacency_matrix_bretto,
-    adjacency_matrix_zhou,
     degree,
     degrees,
-    incidence_matrix,
     is_e_adjacent,
     is_k_adjacent,
     parse_hypergraph,
     two_section,
-    unit_weights,
 )
 from .layers import LayerDecomposition, decompose, direct_sum
 from .polynomials import (
@@ -67,7 +64,6 @@ from .uniformize import (
     layered_uniform,
     merge,
     reconstruct,
-    special_vertex_indices,
     tensor_from_layered_uniform,
     vertex_augment,
     vertex_degrees_from_tensor,
@@ -88,7 +84,6 @@ __all__ = [
     "SymTensor",
     "WeightedHypergraph",
     "adjacency_matrix_bretto",
-    "adjacency_matrix_zhou",
     "banerjee_alpha",
     "banerjee_tensor",
     "check_eigenpair",
@@ -105,7 +100,6 @@ __all__ = [
     "graph_consistency_check",
     "homogenize_step",
     "hypergraph_polynomial",
-    "incidence_matrix",
     "is_e_adjacent",
     "is_k_adjacent",
     "laplacian",
@@ -122,12 +116,10 @@ __all__ = [
     "poly_from_tensor",
     "power_iteration",
     "reconstruct",
-    "special_vertex_indices",
     "spectral_bound",
     "tensor_from_layered_uniform",
     "tensor_from_poly",
     "two_section",
-    "unit_weights",
     "vertex_augment",
     "vertex_degrees_from_tensor",
 ]

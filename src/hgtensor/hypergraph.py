@@ -83,10 +83,6 @@ class WeightedHypergraph:
         object.__setattr__(self, "weights", weights)
 
 
-def unit_weights(h: Hypergraph) -> WeightedHypergraph:
-    return WeightedHypergraph(h, (Fraction(1),) * h.p)
-
-
 def _first_fault(text: str, start: int, n: int) -> None:
     """Raise the message of the first faulty line after the header, in file order."""
     for lineno, raw in enumerate(islice(text.splitlines(), start, None), start + 1):
@@ -185,12 +181,6 @@ def _uniform_size(h: Hypergraph) -> int | None:
     return sizes.pop() if sizes else None
 
 
-def incidence_matrix(h: Hypergraph) -> Matrix:
-    """n x p matrix with entry 1 exactly when vertex v lies in edge e."""
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if v in e else zero for e in h.edges] for v in range(1, h.n + 1)]
-
-
 def adjacency_matrix_bretto(h: Hypergraph) -> Matrix:
     """Symmetric n x n matrix counting shared edges; zero diagonal."""
     a = [[Fraction(0)] * h.n for _ in range(h.n)]
@@ -198,25 +188,6 @@ def adjacency_matrix_bretto(h: Hypergraph) -> Matrix:
         for u, v in combinations(e, 2):
             a[u - 1][v - 1] += 1
             a[v - 1][u - 1] += 1
-    return a
-
-
-def adjacency_matrix_zhou(hw: WeightedHypergraph) -> Matrix:
-    """Weighted adjacency H W H^T - D_v, with D_v the weighted degree diagonal.
-
-    Built from the actual matrix product so that it cross-checks the direct
-    counting construction rather than repeating it.
-    """
-    h = hw.base
-    inc = incidence_matrix(h)
-    hw_prod = [[inc[v][j] * hw.weights[j] for j in range(h.p)] for v in range(h.n)]
-    a = [
-        [sum((hw_prod[u][j] * inc[v][j] for j in range(h.p)), Fraction(0)) for v in range(h.n)]
-        for u in range(h.n)
-    ]
-    for v in range(h.n):
-        weighted_degree = sum((w for e, w in zip(h.edges, hw.weights) if v + 1 in e), Fraction(0))
-        a[v][v] -= weighted_degree
     return a
 
 

@@ -58,22 +58,10 @@ class HomogeneousPolynomial:
             total = total + term
         return total
 
-    def scaled(self, c: Fraction) -> HomogeneousPolynomial:
-        c = Fraction(c)
-        # the keys stay canonical and a nonzero c keeps every coefficient nonzero
-        monomials = {k: c * v for k, v in self.monomials.items()} if c else {}
-        return _trusted(HomogeneousPolynomial, self.degree, self.var_count, monomials)
-
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
     """The polynomial whose coefficient on each key is value * orbit size."""
-    # one product per distinct (value, weight); keys share a few value objects, looked
-    # up by identity, since hashing a Fraction costs half a product
-    products: dict[tuple[int, int], Fraction] = {}
-    monomials = {}
-    for key, v in t.entries.items():
-        pair = (id(v), multiplicity_weight(key))
-        monomials[key] = products.get(pair) or products.setdefault(pair, Fraction(v * pair[1]))
+    monomials = {key: Fraction(v * multiplicity_weight(key)) for key, v in t.entries.items()}
     return _trusted(HomogeneousPolynomial, t.order, t.dim, monomials)
 
 
@@ -115,12 +103,8 @@ def homogenize_step(
     c_next = Fraction(c_next)
     if c_next <= 0:
         raise ValueError("layer coefficient must be positive")
-    monomials: dict[Monomial, Fraction] = {
-        key + (y_index,): coefficient for key, coefficient in r.monomials.items()
-    }
-    products: dict[int, Fraction] = {}  # by coefficient identity, as in poly_from_tensor
-    for key, c in p_next.monomials.items():
-        monomials[key] = products.get(id(c)) or products.setdefault(id(c), c_next * c)
+    monomials = {key + (y_index,): c for key, c in r.monomials.items()}
+    monomials.update({key: c_next * c for key, c in p_next.monomials.items()})
     return _trusted(HomogeneousPolynomial, r.degree + 1, r.var_count + 1, monomials)
 
 

@@ -51,15 +51,6 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
     return coefficients
 
 
-def special_vertex_indices(n: int, k_max: int) -> tuple[int, ...]:
-    """The padding vertex indices n+1..n+k_max-1, in augmentation order."""
-    _integer(n, "vertex count")
-    _integer(k_max, "k_max")
-    if n < 0 or k_max < 1:
-        raise ValueError("need n >= 0 and k_max >= 1")
-    return tuple(range(n + 1, n + k_max))
-
-
 def vertex_augment(hw: WeightedHypergraph, y: int) -> WeightedHypergraph:
     """Adjoin the fresh vertex y to the vertex set and to every edge.
 
@@ -105,10 +96,6 @@ class LayeredUniform:
     n_original: int
     k_max: int
     origin: tuple[int, ...]
-
-    @property
-    def special_vertices(self) -> tuple[int, ...]:
-        return special_vertex_indices(self.n_original, self.k_max)
 
 
 def layered_uniform(h: Hypergraph, policy: CoefficientPolicy = "handshake") -> LayeredUniform:

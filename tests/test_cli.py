@@ -507,6 +507,9 @@ GOLDEN_COMMANDS = (
     "compare --format text",
     "tensor",
     "tensor --model banerjee",
+    "tensor --layer 1",
+    "tensor --layer 2 --normalization raw",
+    "tensor --layer 2 --normalization eigen",
     "poly",
     "poly --policy unit",
     "info",

@@ -9,18 +9,16 @@ from hgtensor import (
     Hypergraph,
     WeightedHypergraph,
     adjacency_matrix_bretto,
-    adjacency_matrix_zhou,
     degree,
     degrees,
-    incidence_matrix,
     is_e_adjacent,
     is_k_adjacent,
     parse_hypergraph,
     two_section,
-    unit_weights,
 )
 
 from conftest import SAMPLE_TEXT, random_hypergraph
+from matrices import adjacency_matrix_zhou, incidence_matrix, unit_weights
 
 
 class TestParsing:

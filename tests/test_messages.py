@@ -16,7 +16,6 @@ from hgtensor import (
     layer_coefficients,
     layer_counts_from_tensor,
     reconstruct,
-    special_vertex_indices,
     vertex_degrees_from_tensor,
 )
 
@@ -52,7 +51,7 @@ CASES = {
         lambda: layer_counts_from_tensor(TRIANGLE, 2.0),
         "vertex count must be an integer, got 2.0",
     ),
-    # one vertex-count rule for the hypergraph, the padding indices and the layered readers
+    # one vertex-count rule for the hypergraph and the layered readers
     "float hypergraph vertex count": (
         lambda: Hypergraph(2.5, ((1, 2),)),
         "vertex count must be an integer, got 2.5",
@@ -61,23 +60,11 @@ CASES = {
         lambda: Hypergraph(True, ((1,),)),
         "vertex count must be an integer, got True",
     ),
-    "bool special-vertex n": (
-        lambda: special_vertex_indices(True, 3),
-        "vertex count must be an integer, got True",
-    ),
     "float reconstruct vertex count": (
         lambda: reconstruct(TRIANGLE, 2.0),
         "vertex count must be an integer, got 2.0",
     ),
     # k_max is an integer by the same rule
-    "float special-vertex k_max": (
-        lambda: special_vertex_indices(3, 2.5),
-        "k_max must be an integer, got 2.5",
-    ),
-    "bool special-vertex k_max": (
-        lambda: special_vertex_indices(3, True),
-        "k_max must be an integer, got True",
-    ),
     "float unit-policy k_max": (
         lambda: layer_coefficients("unit", 2.5),
         "k_max must be an integer, got 2.5",
@@ -85,10 +72,6 @@ CASES = {
     "bool handshake-policy k_max": (
         lambda: layer_coefficients("handshake", True),
         "k_max must be an integer, got True",
-    ),
-    "negative special-vertex n": (
-        lambda: special_vertex_indices(-1, 2),
-        "need n >= 0 and k_max >= 1",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),

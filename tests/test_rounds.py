@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgtensor import (
+    HomogeneousPolynomial,
     Hypergraph,
     LayeredUniform,
     WeightedHypergraph,
@@ -62,7 +63,8 @@ def test_hypergraph_polynomial_equals_the_homogenization_rounds(case):
     def layer_polynomial(k):
         return poly_from_tensor(layer_tensor_degree_normalized(dec.layer(k), k))
 
-    r = layer_polynomial(1).scaled(coefficients[0])
+    p1 = layer_polynomial(1)
+    r = HomogeneousPolynomial(1, p1.var_count, {key: coefficients[0] * c for key, c in p1.monomials.items()})
     for k in range(1, dec.k_max):
         r = homogenize_step(r, layer_polynomial(k + 1), coefficients[k], h.n + k)
     unrolled = hypergraph_polynomial(h, policy)

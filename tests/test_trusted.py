@@ -113,16 +113,6 @@ class TestTrustedBuilders:
 
     @PROPERTY
     @given(mixed_hypergraphs())
-    def test_scaled_polynomials(self, h):
-        for p in (poly_from_tensor(e_adjacency_tensor(h)), hypergraph_polynomial(h)):
-            for c in (0, Fraction(1, 3), -2):
-                scaled = p.scaled(c)
-                assert_validated_equal(scaled)
-                assert_exact(scaled.monomials.values())
-                assert scaled.monomials == {k: c * v for k, v in p.monomials.items() if c}
-
-    @PROPERTY
-    @given(mixed_hypergraphs())
     def test_float_tensor_gives_fraction_coefficients(self, h):
         layer = decompose(h).layer(h.k_max)
         p = poly_from_tensor(layer_tensor_eigen_normalized(layer))

@@ -15,14 +15,13 @@ from hgtensor import (
     layered_uniform,
     merge,
     reconstruct,
-    special_vertex_indices,
     tensor_from_layered_uniform,
-    unit_weights,
     vertex_augment,
     vertex_degrees_from_tensor,
 )
 
 from conftest import random_hypergraph
+from matrices import unit_weights
 
 
 def weight_map(hw: WeightedHypergraph) -> dict[frozenset[int], Fraction]:
@@ -48,11 +47,6 @@ class TestCoefficients:
             layer_coefficients([1, 0, 1], 3)
         with pytest.raises(ValueError, match="k_max"):
             layer_coefficients("unit", 0)
-
-
-def test_special_vertex_indices():
-    assert special_vertex_indices(7, 3) == (8, 9)
-    assert special_vertex_indices(5, 1) == ()
 
 
 class TestAugmentAndMerge:
@@ -112,7 +106,6 @@ class TestLayeredUniform:
         lu = layered_uniform(sample)
         assert lu.k_max == 3
         assert lu.n_original == 7
-        assert lu.special_vertices == (8, 9)
         assert lu.uniform.base.n == 9
         assert weight_map(lu.uniform) == {
             frozenset({1, 2, 3}): Fraction(1),
