@@ -523,7 +523,8 @@ GOLDEN_COMMANDS = (
 
 class TestGoldenOutput:
     """Every path command keeps its exact output: slice sums, contractions, the
-    two models' COO texts and their comparison, polynomials, layers and
+    two models' COO texts and their comparison, the layer tensors' COO texts
+    (exact, and float under eigen normalization), polynomials, layers and
     reconstruction (k12.hg has total element counts above 2**53)."""
 
     def test_every_input_has_every_command(self):
