@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hypergraph import Hypergraph, _trusted
+from .hypergraph import Hypergraph, _integer, _trusted
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class LayerDecomposition:
     layers: tuple[Hypergraph, ...]
 
     def layer(self, k: int) -> Hypergraph:
+        _integer(k, "layer index")
         if not 1 <= k <= self.k_max:
             raise ValueError(f"layer index {k} out of range [1, {self.k_max}]")
         return self.layers[k - 1]

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .hypergraph import Hypergraph, _trusted
+from .hypergraph import Hypergraph, _integer, _trusted
 from .layers import decompose
 from .symtensor import SymTensor, _canonical, multiplicity_weight
 from .uniformize import CoefficientPolicy, _layered_order, _padding_suffixes, layer_coefficients, reconstruct
@@ -37,6 +37,8 @@ class HomogeneousPolynomial:
     monomials: dict[Monomial, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _integer(self.degree, "polynomial degree")
+        _integer(self.var_count, "variable count")
         if self.degree < 1:
             raise ValueError("polynomial degree must be at least 1")
         if self.var_count < 0:
@@ -130,54 +132,38 @@ def hypergraph_polynomial(
     return _trusted(HomogeneousPolynomial, dec.k_max, h.n + dec.k_max - 1, monomials)
 
 
-def _partial_padding_evaluation(
-    monomials: Mapping[Monomial, int], n: int, zeros: int
-) -> dict[Monomial, int]:
-    """Set the first ``zeros`` padding variables to 0 and the rest to 1.
-
-    Returns the surviving original-variable monomials with their summed
-    coefficients; a monomial survives exactly when it touches none of the
-    zeroed padding variables.  Keys must be sorted, as canonical keys are: the
-    original variables are then a prefix and the smallest padding variable,
-    the one that decides, comes right after it.
-    """
-    out: dict[Monomial, int] = {}
-    for key, coefficient in monomials.items():
-        s = bisect_right(key, n)
-        if s < len(key) and key[s] - n <= zeros:
-            continue
-        zpart = key[:s]
-        out[zpart] = out.get(zpart, 0) + coefficient
-    return out
+def _dnf_order(t: SymTensor, n: int, size: int) -> int:
+    """The order k of t, after checking the layered shape and that size is an integer in [1, k]."""
+    _integer(size, "size")
+    k = _layered_order(t, n)
+    if not 1 <= size <= k:
+        raise ValueError(f"size {size} out of range [1, {k}]")
+    return k
 
 
 def dnf_extract(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
-    """Edges of the given size, recovered by differencing 0/1 padding settings.
+    """Edges of the given size: the keys whose smallest padding variable is y_size.
 
-    With the first size-1 padding variables zeroed, monomials of edges of
-    size >= size survive; zeroing one more keeps only sizes >= size + 1.
-    The difference is exactly the size-``size`` family.  The top size needs
-    no subtraction: zeroing all padding variables isolates it.
+    The paper differences 0/1 padding settings of the booleanized polynomial.  With
+    the first z padding variables set to 0 and the rest to 1, a monomial survives
+    exactly when its smallest padding variable lies above y_z; a key of the top
+    size has none and counts as y_{k_max}.  The settings z = size-1 and z = size
+    therefore differ by exactly the keys whose smallest padding variable is y_size.
+    Keys are sorted, so the original variables are a prefix and that variable
+    comes right after it.
     """
-    k = t.order
-    if not 1 <= size <= k:
-        raise ValueError(f"size {size} out of range [1, {k}]")
-    _layered_order(t, n)
+    k = _dnf_order(t, n, size)
+    edges: set[frozenset[int]] = set()
     for key in t.entries:
         if len(set(key)) != len(key):
             raise ValueError(f"key {key} repeats an index")
-    booleanized = dict.fromkeys(t.entries, 1)
-    kept = _partial_padding_evaluation(booleanized, n, size - 1)
-    if size < k:
-        dropped = _partial_padding_evaluation(booleanized, n, size)
-        for key, coefficient in dropped.items():
-            kept[key] = kept.get(key, 0) - coefficient
-    return {frozenset(key) for key, coefficient in kept.items() if coefficient != 0}
+        s = bisect_right(key, n)
+        if (key[s] if s < k else n + k) == n + size:
+            edges.add(frozenset(key[:s]))
+    return edges
 
 
 def dnf_extract_structural(t: SymTensor, n: int, size: int) -> set[frozenset[int]]:
     """Edges of the given size among reconstruct(t, n), which rejects malformed keys."""
-    k = _layered_order(t, n)
-    if not 1 <= size <= k:
-        raise ValueError(f"size {size} out of range [1, {k}]")
+    _dnf_order(t, n, size)
     return {e for e in reconstruct(t, n).edges if len(e) == size}

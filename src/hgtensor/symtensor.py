@@ -23,7 +23,7 @@ from itertools import chain, compress, groupby, repeat
 from operator import add, and_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .hypergraph import Hypergraph, _trusted, _uniform_size, degrees
+from .hypergraph import Hypergraph, _integer, _trusted, _uniform_size, degrees
 
 Key = tuple[int, ...]
 Value = Fraction | float
@@ -315,6 +315,8 @@ class SymTensor:
     entries: dict[Key, Value]
 
     def __post_init__(self) -> None:
+        _integer(self.order, "tensor order")
+        _integer(self.dim, "tensor dimension")
         if self.order < 1:
             raise ValueError("tensor order must be at least 1")
         if self.dim < 0:
@@ -448,6 +450,8 @@ def _coo_rows(width: int):
 
 
 def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
+    if k is not None:
+        _integer(k, "tensor order")
     inferred = _uniform_size(hk)
     if inferred is None:
         if k is None:

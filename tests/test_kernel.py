@@ -11,7 +11,9 @@ exact kernel divides each key's product by one factor per target.
 ``reference_power_iteration`` runs ``power_iteration``'s loop on
 ``reference_apply`` and must return the same ``EigenPair`` bit for bit.
 ``reference_reconstruct`` and ``reference_padding_evaluation`` test every
-index of a key against n, where the kernels split each sorted key once.
+index of a key against n, where the kernels split each sorted key once;
+``reference_dnf`` is the paper's differencing of two padding evaluations of the
+booleanized keys, which ``dnf_extract`` reads off each key's smallest padding index.
 ``_arrangements`` counts a key's orbit with a ``Counter``, against which the
 one orbit-size rule, ``multiplicity_weight``, is held.  ``reference_coo`` is
 the COO writer that joined ``str`` of every index and formatted every value.
@@ -35,6 +37,7 @@ from hgtensor import (
     Hypergraph,
     SymTensor,
     banerjee_tensor,
+    dnf_extract,
     e_adjacency_tensor,
     gershgorin_disks,
     laplacian,
@@ -47,7 +50,6 @@ from hgtensor import (
     reconstruct,
     vertex_degrees_from_tensor,
 )
-from hgtensor.polynomials import _partial_padding_evaluation
 from hgtensor.symtensor import _CHUNK, _coo_rows, _float_plan, _slice_numerators, _unrolled, format_value
 from hgtensor.uniformize import _layered_order
 
@@ -288,8 +290,9 @@ def test_float_sums_do_not_depend_on_insertion_order(t):
         lambda t: layer_counts_from_tensor(t, 40),
         SymTensor.slice_sums,
         gershgorin_disks,
+        lambda t: dnf_extract(t, 40, 1),
     ],
-    ids=["degrees", "layer counts", "slice sums", "gershgorin"],
+    ids=["degrees", "layer counts", "slice sums", "gershgorin", "dnf"],
 )
 def test_layered_readers_keep_nothing_per_key(read):
     # every key of the layered tensor holds one value object, so the slice sums
@@ -572,6 +575,17 @@ def reference_padding_evaluation(monomials, n: int, zeros: int) -> dict:
     return out
 
 
+def reference_dnf(t: SymTensor, n: int, size: int) -> set:
+    for key in t.entries:
+        if len(set(key)) != len(key):
+            raise ValueError(f"key {key} repeats an index")
+    booleanized = dict.fromkeys(t.entries, 1)
+    kept = reference_padding_evaluation(booleanized, n, size - 1)
+    # zeroing every padding variable isolates the top size: nothing to subtract
+    dropped = reference_padding_evaluation(booleanized, n, size) if size < t.order else {}
+    return {frozenset(key) for key, count in kept.items() if count != dropped.get(key, 0)}
+
+
 @st.composite
 def padded_key_tensors(draw):
     """Layered-shape tensors whose keys are padded edges, some with faulty padding.
@@ -612,13 +626,11 @@ def test_reconstruct_matches_the_per_index_split(case):
 
 @KERNEL
 @given(padded_key_tensors())
-def test_padding_evaluation_matches_the_per_index_split(case):
+def test_dnf_matches_the_padding_differencing(case):
     t, n = case
-    booleanized = dict.fromkeys(t.entries, 1)
-    for monomials in (booleanized, t.entries):
-        for zeros in range(t.order + 1):
-            expected = reference_padding_evaluation(monomials, n, zeros)
-            assert _partial_padding_evaluation(monomials, n, zeros) == expected
+    for size in range(1, t.order + 1):
+        expected = outcome(lambda t, n: reference_dnf(t, n, size), t, n)
+        assert outcome(lambda t, n: dnf_extract(t, n, size), t, n) == expected
 
 
 def reference_coo(t: SymTensor) -> str:

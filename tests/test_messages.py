@@ -10,11 +10,14 @@ from hgtensor import (
     HomogeneousPolynomial,
     Hypergraph,
     SymTensor,
+    decompose,
     degree,
     dnf_extract,
+    dnf_extract_structural,
     is_k_adjacent,
     layer_coefficients,
     layer_counts_from_tensor,
+    layer_tensor_raw,
     reconstruct,
     vertex_degrees_from_tensor,
 )
@@ -72,6 +75,38 @@ CASES = {
     "bool handshake-policy k_max": (
         lambda: layer_coefficients("handshake", True),
         "k_max must be an integer, got True",
+    ),
+    # both DNF readers check the size, then the layered shape, then the range
+    "float dnf size": (lambda: dnf_extract(TRIANGLE, 2, 1.5), "size must be an integer, got 1.5"),
+    "bool structural dnf size": (
+        lambda: dnf_extract_structural(TRIANGLE, 2, True),
+        "size must be an integer, got True",
+    ),
+    "dnf shape before size range": (
+        lambda: dnf_extract(TRIANGLE, 3, 9),
+        "tensor dim 3 does not match n=3, order 2",
+    ),
+    "structural dnf shape before size range": (
+        lambda: dnf_extract_structural(TRIANGLE, 3, 9),
+        "tensor dim 3 does not match n=3, order 2",
+    ),
+    "structural dnf size out of range": (
+        lambda: dnf_extract_structural(TRIANGLE, 2, 3),
+        "size 3 out of range [1, 2]",
+    ),
+    # orders, dimensions and layer indices are integers by the same rule
+    "bool tensor order": (lambda: SymTensor(True, 3, {(1,): 1}), "tensor order must be an integer, got True"),
+    "float tensor dim": (lambda: SymTensor(2, 3.5, {(1, 2): 1}), "tensor dimension must be an integer, got 3.5"),
+    "float polynomial degree": (
+        lambda: HomogeneousPolynomial(2.0, 3, {(1, 2): 1}),
+        "polynomial degree must be an integer, got 2.0",
+    ),
+    "bool variable count": (lambda: HomogeneousPolynomial(2, True), "variable count must be an integer, got True"),
+    "float layer index": (lambda: decompose(PATH).layer(2.0), "layer index must be an integer, got 2.0"),
+    "bool layer index": (lambda: decompose(PATH).layer(True), "layer index must be an integer, got True"),
+    "bool layer tensor order": (
+        lambda: layer_tensor_raw(Hypergraph(3), True),
+        "tensor order must be an integer, got True",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),
