@@ -31,7 +31,8 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
     rational inputs and tol = 0 this is an exact test.
     """
     m = t.order
-    if len(x) != t.dim or not _rational(chain([value], x, t.entries.values())):  # apply names a bad length
+    objects = _value_objects(t.entries.values()).values()  # one test per value object
+    if len(x) != t.dim or not _rational(chain([value], x, objects)):  # apply names a bad length
         contracted = t.apply(x)
         residual = max((abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim)), default=Fraction(0))
     else:  # |s_i/scale - value * x_i^(m-1)| over one denominator: integers until the end

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, groupby, repeat
-from operator import add, and_
+from operator import add, and_, not_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph, _integer, _trusted, _uniform_size, degrees
@@ -28,6 +28,9 @@ from .hypergraph import Hypergraph, _integer, _trusted, _uniform_size, degrees
 Key = tuple[int, ...]
 Value = Fraction | float
 _CHUNK = 64  # widest key _unrolled takes: its source grows as width², and ~3000 factors fail to compile
+# widest key _exact_unrolled and _coo_rows take: their sources grow linearly, yet compile time does
+# not (width 256 compiles in about 10 ms, width 20 000 in 1.7 s)
+_LINEAR_CHUNK = 256
 
 
 def multiplicity_weight(key: Sequence[int]) -> int:
@@ -107,16 +110,20 @@ def _float_plan(entries: Mapping[Key, Value], order: int) -> list[tuple[Callable
     """The float contraction as runs (fold, entries) of consecutive keys, in canonical key order.
 
     A key of distinct indices at most _CHUNK wide has c = value·(m−1)! at every target, computed
-    once per value object.  Where c is exactly 1.0, as on every key of the layered tensor, the run
-    holds bare keys for ``_unrolled(order, False)``; otherwise it holds (key, c) pairs for
-    ``_unrolled(order, True)``, and order 1 always does.  Any other key goes to ``_fold_each`` with
-    a coefficient per target.  The keys are classified in C-level passes; folding the runs in turn
-    adds to each component in key order.
+    once per value object and looked up per key unless the tensor holds one object.  Where c is
+    exactly 1.0, as on every key of the layered tensor, the run holds bare keys for
+    ``_unrolled(order, False)``; otherwise it holds (key, c) pairs for ``_unrolled(order, True)``,
+    and order 1 always does.  Any other key goes to ``_fold_each`` with a coefficient per target.
+    The keys are classified in C-level passes; folding the runs in turn adds to each component in
+    key order.
     """
     keys = sorted(entries)
     distinct = math.factorial(order - 1)  # the arrangements of each target of a key of distinct indices
     coefficients = {i: _float_coefficient(v, distinct) for i, v in _value_objects(entries.values()).items()}
-    cs = list(map(coefficients.__getitem__, map(id, map(entries.__getitem__, keys))))
+    if len(coefficients) == 1:  # one value object, as in the layered tensor: no lookup per key
+        cs = list(coefficients.values()) * len(keys)
+    else:
+        cs = list(map(coefficients.__getitem__, map(id, map(entries.__getitem__, keys))))
     unrolled = list(map(order.__eq__, map(len, map(set, keys)))) if order <= _CHUNK else [False] * len(keys)
     unit = map((1.0).__eq__, cs) if order > 1 else repeat(False)  # order 1 has no factor to leave c off
     kinds = map(add, unrolled, map(and_, unrolled, unit))  # 0: _fold_each, 1: (key, c) pairs, 2: bare keys
@@ -154,21 +161,55 @@ def _over_common_denominator(objects: dict[int, Value]) -> tuple[dict[int, int],
     return {i: v.numerator * (den // v.denominator) for i, v in objects.items()}, den
 
 
+@functools.cache
+def _exact_unrolled(width: int):
+    """fold(entries, xs, sums) -> zero keys: adds q // xs[j_i] to sums[j_i] for each (key, c).
+
+    One loop per width of keys with distinct indices unpacks the key and loads each xs[j] once;
+    q = c·xs[j_0]···xs[j_{m−1}], and xs[j_i] divides q, so each quotient is exact.  A key whose q is
+    0 adds nothing and is returned, for a per-target walk.  The source grows linearly with the width.
+    """
+    x = [f"x{k}" for k in range(width)]
+    # the source is made from integers alone, as _unrolled's is: no index or value enters it
+    target = "".join(f"j{k}, " for k in range(width))
+    lines = ["def fold(entries, xs, sums):", "    zero = []", f"    for ({target}), c in entries:"]
+    lines += [f"        x{k} = xs[j{k}]" for k in range(width)]
+    lines += [f"        q = c * {' * '.join(x)}", "        if q:"]
+    lines += [f"            sums[j{k}] += q // x{k}" for k in range(width)]
+    lines += ["        else:", f"            zero.append(({target}))", "    return zero"]
+    exec("\n".join(lines), namespace := {})
+    return namespace["fold"]
+
+
 def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[list, list, int, int]:
     """(sums, xs, value_den, scale): the exact contraction in integers, component i = sums[i] / scale.
 
     A key of distinct indices whose xs are all nonzero makes one product q = (m−1)!·v·P, with P
     the product of its xs, and adds q // xs[j] at each index j: xs[j] divides P, so each quotient
-    is exact.  Any other key adds v·arrangements·(the product of the other xs) at each target.
-    xs holds x over its common denominator, value_den is the values' one; slot 0 of sums and xs pads.
+    is exact.  Keys of distinct indices up to _LINEAR_CHUNK wide are picked in C-level passes and
+    go to ``_exact_unrolled(order)`` as (key, (m−1)!·v) pairs; wider ones make the same product
+    here.  Any other key, and any key with a zero x, adds v·arrangements·(the product of the other
+    xs) at each target.  xs holds x over its common denominator, value_den is the values' one;
+    slot 0 of sums and xs pads.
     """
     numerators, value_den = _over_common_denominator(_value_objects(entries.values()))
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
     sums = [0] * len(xs)
     distinct = math.factorial(order - 1)
-    for key, value in entries.items():
-        v = numerators[id(value)]
+    walk: Iterable[Key] = entries
+    if order <= _LINEAR_CHUNK:
+        unrolled = list(map(order.__eq__, map(len, map(set, entries))))
+        coefficients = {i: distinct * v for i, v in numerators.items()}
+        if len(coefficients) == 1:  # one value object, as in the layered tensor: no lookup per key
+            [c] = coefficients.values()
+            cs: Iterable[int] = repeat(c)
+        else:
+            cs = map(coefficients.__getitem__, map(id, entries.values()))
+        zero = _exact_unrolled(order)(compress(zip(entries, cs), unrolled), xs, sums)
+        walk = chain(compress(entries, map(not_, unrolled)), zero)
+    for key in walk:
+        v = numerators[id(entries[key])]
         xk = [xs[j] for j in key]
         product = math.prod(xk)
         if product and len(set(key)) == order:
@@ -379,7 +420,7 @@ class SymTensor:
             raise ValueError(f"vector length {len(x)} does not match dim {self.dim}")
         if self.order == 1:  # every rest is empty: x takes no part
             x = [1] * self.dim
-        if not _rational(self.entries.values()) or not _rational(x):
+        if not _rational(_value_objects(self.entries.values()).values()) or not _rational(x):
             plan = _float_plan(self.entries, self.order)  # floats add in key order
             return _float_fold(plan, [0.0, *map(float, x)])[1:]
         sums, _, _, scale = _exact_sums(self.entries, self.order, x)
@@ -407,14 +448,15 @@ class SymTensor:
 
         When the texts of the indices 0..dim, about 64 bytes each, cost no more
         than the sorted keys, 8 bytes each, each index is formatted once and
-        ``_coo_rows`` joins every row from those texts.  Otherwise, as in a
-        sparse tensor of large dimension, keys go through one ``%d`` row format.
+        ``_coo_rows`` joins every row from those texts, for keys up to
+        _LINEAR_CHUNK wide.  Otherwise, as in a sparse tensor of large dimension
+        or a key wider than that, keys go through one ``%d`` row format.
         A value is formatted again only when its object differs from the
         previous key's: a run of one shared value is formatted once, and no
         string is kept per key.
         """
         yield f"symtensor v1 order={self.order} dim={self.dim}\n"
-        if 8 * (self.dim + 1) <= len(self.entries):
+        if 8 * (self.dim + 1) <= len(self.entries) and self.order <= _LINEAR_CHUNK:
             keys = sorted(self.entries)
             texts = list(map(str, range(self.dim + 1)))
             yield from _coo_rows(self.order)(zip(keys, map(self.entries.__getitem__, keys)), texts)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgtensor import (
@@ -37,6 +37,7 @@ from hgtensor import (
     Hypergraph,
     SymTensor,
     banerjee_tensor,
+    check_eigenpair,
     dnf_extract,
     e_adjacency_tensor,
     gershgorin_disks,
@@ -50,7 +51,8 @@ from hgtensor import (
     reconstruct,
     vertex_degrees_from_tensor,
 )
-from hgtensor.symtensor import _CHUNK, _coo_rows, _float_plan, _slice_numerators, _unrolled, format_value
+from hgtensor.symtensor import _CHUNK, _LINEAR_CHUNK, _coo_rows, _exact_unrolled, _float_plan, _slice_numerators, _unrolled
+from hgtensor.symtensor import format_value
 from hgtensor.uniformize import _layered_order
 
 from test_growth import pairs_text
@@ -347,6 +349,62 @@ def test_exact_apply_with_zero_and_negative_components(data):
     assert t.apply(x) == reference_apply(t, x)
     x[data.draw(st.integers(0, t.dim - 1))] = Fraction(0)
     assert t.apply(x) == reference_apply(t, x)
+
+
+@st.composite
+def residual_cases(draw):
+    """(t, x): a layered, Banerjee or shifted tensor, and x with a negative and a zero component."""
+    kind = draw(st.sampled_from(["layered", "banerjee", "shifted"]))
+    if kind == "banerjee":
+        t = draw(banerjee_tensors())
+    else:
+        t = e_adjacency_tensor(draw(hypergraphs()))
+    if kind == "shifted":  # diagonal keys repeat an index
+        t = t.scale_add_identity(draw(rationals), draw(rationals.filter(bool)))
+    x = draw(vectors(t, rationals))
+    x[draw(st.integers(0, t.dim - 1))] *= -1
+    x[draw(st.integers(0, t.dim - 1))] = Fraction(0)
+    return t, x
+
+
+def wide_case(width: int) -> tuple[SymTensor, list]:
+    """(t, x): two keys of ``width`` distinct indices over width + 1; x is 0 at index 1, which only the first holds.
+
+    The reference contraction of a key of w indices makes about w² Fraction products, 0.2 s
+    at w = 256, so the widths around the exact loop's cap are fixed examples, not drawn.
+    """
+    keys = (tuple(range(1, width + 1)), tuple(range(2, width + 2)))
+    t = SymTensor(width, width + 1, dict(zip(keys, (Fraction(-2, 3), Fraction(5, 2)))))
+    x = [Fraction(i % 4 + 1, i % 3 + 1) for i in range(width + 1)]
+    x[0], x[width // 2] = Fraction(0), -x[width // 2]
+    return t, x
+
+
+@KERNEL
+@given(residual_cases(), rationals)
+@example(wide_case(_LINEAR_CHUNK - 1), Fraction(3, 2))
+@example(wide_case(_LINEAR_CHUNK), Fraction(-1, 4))
+@example(wide_case(_LINEAR_CHUNK + 1), Fraction(0))
+def test_exact_residual_matches_the_reference_contraction(case, value):
+    # the generated exact loop takes keys of distinct indices with no zero x; a zero x hands
+    # its key to the per-target walk, and a negative one must divide exactly
+    t, x = case
+    applied = reference_apply(t, x)
+    expected = max(abs(applied[i] - value * x[i] ** (t.order - 1)) for i in range(t.dim))
+    assert check_eigenpair(t, value, x, 0).residual == expected
+
+
+def test_exact_loop_compiles_once_per_width_up_to_its_cap():
+    _exact_unrolled.cache_clear()
+    compiled = 0
+    for width in (2, 3, _LINEAR_CHUNK, _LINEAR_CHUNK + 1):
+        keys = (tuple(range(1, width + 1)), tuple(range(2, width + 2)))
+        t = SymTensor(width, width + 1, dict(zip(keys, (Fraction(1, 3), Fraction(-2)))))
+        x = [Fraction(i % 4 + 1, i % 3 + 1) for i in range(t.dim)]
+        assert t.apply(x) == t.apply(x)
+        assert check_eigenpair(t, Fraction(1), x, 0).residual > 0
+        compiled += width <= _LINEAR_CHUNK  # a wider key makes its product in the per-key walk
+        assert _exact_unrolled.cache_info().misses == compiled
 
 
 @KERNEL
@@ -722,6 +780,15 @@ def test_coo_rows_from_index_texts_from_eight_keys_per_index():
         t = SymTensor(200, 2, dict.fromkeys(keys[:count], Fraction(1, 3)))
         assert t.to_coo() == reference_coo(t)
         assert _coo_rows.cache_info().misses == texts
+
+
+def test_coo_rows_of_keys_past_the_cap_take_the_row_format():
+    # order _LINEAR_CHUNK + 1 over dim 2, with 8·(dim+1) keys: a loop of that width is not compiled
+    keys = list(combinations_with_replacement(range(1, 3), _LINEAR_CHUNK + 1))[:24]
+    t = SymTensor(_LINEAR_CHUNK + 1, 2, dict.fromkeys(keys, Fraction(1, 3)))
+    misses = _coo_rows.cache_info().misses
+    assert t.to_coo() == reference_coo(t)
+    assert _coo_rows.cache_info().misses == misses
 
 
 def test_coo_index_texts_keep_no_string_per_key():

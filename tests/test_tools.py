@@ -64,3 +64,15 @@ def test_reach_names_the_functions_a_run_never_calls(tmp_path, monkeypatch):
     counts = reach.traffic(package, module.Box().used)
     assert counts == (1, 2, ["twofuncs.unused"])
     assert reach.report(*counts) == "reached 1 of 2 functions\ntwofuncs.unused\n"
+
+
+def test_reach_counts_the_package_in_the_given_directory(tmp_path, monkeypatch, capsys):
+    # the base commit's package, extracted elsewhere, is imported and counted in place of src/hgtensor
+    package = tmp_path / "base" / "basefuncs"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("def used():\n    return 1\n\n\ndef unused():\n    return 2\n")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(reach, "drive_goldens_and_one_round", lambda: importlib.import_module("basefuncs").used())
+    assert reach.main(["reach.py", str(package)]) == 0
+    assert capsys.readouterr().out == "reached 1 of 2 functions\nbasefuncs.unused\n"
+    assert sys.path[0] == str(package.parent.resolve())

@@ -8,7 +8,10 @@ one per line, every function of src/hgtensor that no case or request called.
 A function is a ``def`` (a method or a nested ``def`` included); lambdas,
 comprehensions and generated code are not counted.
 
-    python tools/reach.py
+    python tools/reach.py [directory]
+
+The directory is the package to import and count, src/hgtensor beside this
+script's parent by default; the goldens and the benchmark are this checkout's.
 """
 
 from __future__ import annotations
@@ -89,11 +92,12 @@ def drive_goldens_and_one_round() -> None:
             program.run(hg, request.kind, request.input.text if request.input else None, request.param)
 
 
-def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    sys.stdout.write(report(*traffic(ROOT / "src" / "hgtensor", drive_goldens_and_one_round)))
+def main(argv: list[str]) -> int:
+    package_dir = Path(argv[1]).resolve() if len(argv) > 1 else ROOT / "src" / "hgtensor"
+    sys.path[:0] = [str(package_dir.parent), str(ROOT / "perfbench")]
+    sys.stdout.write(report(*traffic(package_dir, drive_goldens_and_one_round)))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
