@@ -110,7 +110,7 @@ def _float_plan(entries: Mapping[Key, Value], order: int) -> list[tuple[Callable
     """The float contraction as runs (fold, entries) of consecutive keys, in canonical key order.
 
     A key of distinct indices at most _CHUNK wide has c = value·(m−1)! at every target, computed
-    once per value object and looked up per key unless the tensor holds one object.  Where c is
+    once per value object and looked up per key.  Where c is
     exactly 1.0, as on every key of the layered tensor, the run holds bare keys for
     ``_unrolled(order, False)``; otherwise it holds (key, c) pairs for ``_unrolled(order, True)``,
     and order 1 always does.  Any other key goes to ``_fold_each`` with a coefficient per target.
@@ -120,10 +120,7 @@ def _float_plan(entries: Mapping[Key, Value], order: int) -> list[tuple[Callable
     keys = sorted(entries)
     distinct = math.factorial(order - 1)  # the arrangements of each target of a key of distinct indices
     coefficients = {i: _float_coefficient(v, distinct) for i, v in _value_objects(entries.values()).items()}
-    if len(coefficients) == 1:  # one value object, as in the layered tensor: no lookup per key
-        cs = list(coefficients.values()) * len(keys)
-    else:
-        cs = list(map(coefficients.__getitem__, map(id, map(entries.__getitem__, keys))))
+    cs = list(map(coefficients.__getitem__, map(id, map(entries.__getitem__, keys))))
     unrolled = list(map(order.__eq__, map(len, map(set, keys)))) if order <= _CHUNK else [False] * len(keys)
     unit = map((1.0).__eq__, cs) if order > 1 else repeat(False)  # order 1 has no factor to leave c off
     kinds = map(add, unrolled, map(and_, unrolled, unit))  # 0: _fold_each, 1: (key, c) pairs, 2: bare keys
@@ -187,8 +184,8 @@ def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[
     A key of distinct indices whose xs are all nonzero makes one product q = (m−1)!·v·P, with P
     the product of its xs, and adds q // xs[j] at each index j: xs[j] divides P, so each quotient
     is exact.  Keys of distinct indices up to _LINEAR_CHUNK wide are picked in C-level passes and
-    go to ``_exact_unrolled(order)`` as (key, (m−1)!·v) pairs; wider ones make the same product
-    here.  Any other key, and any key with a zero x, adds v·arrangements·(the product of the other
+    go to ``_exact_unrolled(order)`` as (key, (m−1)!·v) pairs.  Any other key (one that repeats an
+    index, has a zero x or is wider than the cap) adds v·arrangements·(the product of the other
     xs) at each target.  xs holds x over its common denominator, value_den is the values' one;
     slot 0 of sums and xs pads.
     """
@@ -196,30 +193,21 @@ def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[
     x_den = math.lcm(*(c.denominator for c in x))
     xs = [0, *(c.numerator * (x_den // c.denominator) for c in x)]
     sums = [0] * len(xs)
-    distinct = math.factorial(order - 1)
     walk: Iterable[Key] = entries
     if order <= _LINEAR_CHUNK:
         unrolled = list(map(order.__eq__, map(len, map(set, entries))))
+        distinct = math.factorial(order - 1)
         coefficients = {i: distinct * v for i, v in numerators.items()}
-        if len(coefficients) == 1:  # one value object, as in the layered tensor: no lookup per key
-            [c] = coefficients.values()
-            cs: Iterable[int] = repeat(c)
-        else:
-            cs = map(coefficients.__getitem__, map(id, entries.values()))
+        cs = map(coefficients.__getitem__, map(id, entries.values()))
         zero = _exact_unrolled(order)(compress(zip(entries, cs), unrolled), xs, sums)
         walk = chain(compress(entries, map(not_, unrolled)), zero)
     for key in walk:
         v = numerators[id(entries[key])]
         xk = [xs[j] for j in key]
         product = math.prod(xk)
-        if product and len(set(key)) == order:
-            q = distinct * v * product
-            for j, xj in zip(key, xk):
-                sums[j] += q // xj
-        else:  # xs[j] divides the product: one division per nonzero target leaves the rest
-            for pos, arrangements in _targets(key):
-                rest = product // xk[pos] if xk[pos] else math.prod(xk[:pos] + xk[pos + 1 :])
-                sums[key[pos]] += v * arrangements * rest
+        for pos, arrangements in _targets(key):  # xs[j] divides the product: one division per nonzero target
+            rest = product // xk[pos] if xk[pos] else math.prod(xk[:pos] + xk[pos + 1 :])
+            sums[key[pos]] += v * arrangements * rest
     return sums, xs, value_den, value_den * x_den ** (order - 1)
 
 

@@ -403,7 +403,7 @@ def test_exact_loop_compiles_once_per_width_up_to_its_cap():
         x = [Fraction(i % 4 + 1, i % 3 + 1) for i in range(t.dim)]
         assert t.apply(x) == t.apply(x)
         assert check_eigenpair(t, Fraction(1), x, 0).residual > 0
-        compiled += width <= _LINEAR_CHUNK  # a wider key makes its product in the per-key walk
+        compiled += width <= _LINEAR_CHUNK  # a wider key takes the per-target walk
         assert _exact_unrolled.cache_info().misses == compiled
 
 

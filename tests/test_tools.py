@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 TOOL = TOOLS / "src_lines.py"
@@ -76,3 +80,40 @@ def test_reach_counts_the_package_in_the_given_directory(tmp_path, monkeypatch, 
     assert reach.main(["reach.py", str(package)]) == 0
     assert capsys.readouterr().out == "reached 1 of 2 functions\nbasefuncs.unused\n"
     assert sys.path[0] == str(package.parent.resolve())
+
+
+def test_reach_refuses_a_package_imported_from_elsewhere(tmp_path, monkeypatch):
+    # an earlier import of the same name, from another tree, would have its calls counted here
+    package = tmp_path / "base" / "shadowed"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("def used():\n    return 1\n")
+    other = types.ModuleType("shadowed")
+    other.__file__ = str(tmp_path / "other" / "shadowed" / "__init__.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "shadowed", other)
+    monkeypatch.setattr(reach, "drive_goldens_and_one_round", lambda: importlib.import_module("shadowed"))
+    with pytest.raises(ImportError, match="shadowed was imported from .*other"):
+        reach.main(["reach.py", str(package)])
+
+
+def test_reach_exits_with_a_message_when_a_golden_case_fails(tmp_path, monkeypatch, capsys):
+    # an older package may not know a command this checkout's goldens run, or may raise on it
+    def usage_error(argv):
+        print("usage error: invalid choice: 'newcmd'", file=sys.stderr)
+        return 64
+
+    def raises(argv):
+        raise TypeError("no such keyword")
+
+    package = tmp_path / "base" / "oldcli"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for main, message in [
+        (usage_error, "exited 64, not 0: usage error: invalid choice: 'newcmd'"),
+        (raises, "raised TypeError('no such keyword'): "),
+    ]:
+        drive = functools.partial(reach.run_golden, main, "newcmd k12.hg", 0)
+        monkeypatch.setattr(reach, "drive_goldens_and_one_round", drive)
+        assert reach.main(["reach.py", str(package)]) == 1
+        assert capsys.readouterr() == ("", f"reach.py: golden case 'newcmd k12.hg' {message}\n")

@@ -12,6 +12,9 @@ comprehensions and generated code are not counted.
 
 The directory is the package to import and count, src/hgtensor beside this
 script's parent by default; the goldens and the benchmark are this checkout's.
+The script refuses a package imported from anywhere else, and exits with 1 and
+a message on stderr when a golden case raises or exits with another code than
+the recorded one, as an older package may.
 """
 
 from __future__ import annotations
@@ -71,6 +74,24 @@ def report(reached: int, total: int, missed: list[str]) -> str:
     return "".join([f"reached {reached} of {total} functions\n", *(f"{name}\n" for name in missed)])
 
 
+def run_golden(main: Callable[[list[str]], int], case: str, code: int) -> None:
+    """Run one golden case ("command ... file") through ``main`` with its output discarded.
+
+    A case that raises, or returns another exit code than the recorded ``code``
+    (as a package returns a usage error on a command it does not know), raises a
+    RuntimeError that names the case and quotes what it wrote to stderr.
+    """
+    *argv, name = case.split()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            got = main([*argv, str(ROOT / "tests" / "data" / name)])
+    except (Exception, SystemExit) as exc:
+        raise RuntimeError(f"golden case {case!r} raised {exc!r}: {err.getvalue().strip()}") from exc
+    if got != code:
+        raise RuntimeError(f"golden case {case!r} exited {got}, not {code}: {err.getvalue().strip()}")
+
+
 def drive_goldens_and_one_round() -> None:
     """Every CLI golden case, then one round of every benchmark request at seed 1."""
     from hgbench import oracle, program, workloads
@@ -79,9 +100,7 @@ def drive_goldens_and_one_round() -> None:
 
     goldens = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
     for case in sorted(goldens):
-        *argv, name = case.split()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            cli.main([*argv, str(ROOT / "tests" / "data" / name)])
+        run_golden(cli.main, case, goldens[case]["exit"])
     hg = program.modules()
     for workload in workloads.WORKLOADS.values():
         inputs = workloads.make_inputs(workload, 1)
@@ -95,7 +114,17 @@ def drive_goldens_and_one_round() -> None:
 def main(argv: list[str]) -> int:
     package_dir = Path(argv[1]).resolve() if len(argv) > 1 else ROOT / "src" / "hgtensor"
     sys.path[:0] = [str(package_dir.parent), str(ROOT / "perfbench")]
-    sys.stdout.write(report(*traffic(package_dir, drive_goldens_and_one_round)))
+    try:
+        counts = traffic(package_dir, drive_goldens_and_one_round)
+    except RuntimeError as exc:
+        sys.stderr.write(f"reach.py: {exc}\n")
+        return 1
+    module = sys.modules.get(package_dir.name)
+    imported = getattr(module, "__file__", None)
+    if imported is None or not Path(imported).resolve().is_relative_to(package_dir):
+        # calls into another copy would be counted against this package's functions
+        raise ImportError(f"{package_dir.name} was imported from {imported}, not from {package_dir}")
+    sys.stdout.write(report(*counts))
     return 0
 
 
