@@ -110,12 +110,11 @@ def _float_plan(entries: Mapping[Key, Value], order: int) -> list[tuple[Callable
     """The float contraction as runs (fold, entries) of consecutive keys, in canonical key order.
 
     A key of distinct indices at most _CHUNK wide has c = value·(m−1)! at every target, computed
-    once per value object and looked up per key.  Where c is
-    exactly 1.0, as on every key of the layered tensor, the run holds bare keys for
-    ``_unrolled(order, False)``; otherwise it holds (key, c) pairs for ``_unrolled(order, True)``,
-    and order 1 always does.  Any other key goes to ``_fold_each`` with a coefficient per target.
-    The keys are classified in C-level passes; folding the runs in turn adds to each component in
-    key order.
+    once per value object and looked up per key.  Where c is exactly 1.0, as on every key of the
+    layered tensor, the run holds bare keys for ``_unrolled(order, False)``; otherwise it holds
+    (key, c) pairs for ``_unrolled(order, True)``, and order 1 always does.  Any other key goes to
+    ``_fold_each`` with a coefficient per target.  The keys are classified in C-level passes;
+    folding the runs in turn adds to each component in key order.
     """
     keys = sorted(entries)
     distinct = math.factorial(order - 1)  # the arrangements of each target of a key of distinct indices
