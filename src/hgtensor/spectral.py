@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, itemgetter
 from typing import Sequence
 
@@ -167,15 +167,17 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("power iteration needs a nonzero tensor")
 
     plan = _float_plan(t.entries, m)
-    x = [0.0] * t.dim
+    # x and each contraction are indexed from 1, as _float_fold reads and writes them: slot 0 is padding
+    size, power, root = t.dim + 1, m - 1, 1.0 / (m - 1)
+    x = [0.0] * size
     for i in support:
-        x[i - 1] = 1.0
+        x[i] = 1.0
     converged = False
     iterations = 0
     low = high = 0.0
     while True:
-        contracted = _float_fold(plan, [0.0, *x])[1:]
-        ratios = [contracted[i - 1] / x[i - 1] ** (m - 1) for i in support]
+        contracted = _float_fold(plan, x)
+        ratios = [contracted[i] / x[i] ** power for i in support]
         low, high = min(ratios), max(ratios)
         iterations += 1
         if high - low <= tol:
@@ -183,23 +185,21 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
             break
         if iterations >= max_iter:
             break
-        nxt = [0.0] * t.dim
+        nxt = [0.0] * size
         for i in support:
-            nxt[i - 1] = contracted[i - 1] ** (1.0 / (m - 1))
-        top = max(nxt)
+            nxt[i] = contracted[i] ** root
+        top = max(islice(nxt, 1, None))  # slot 0 stays out: a NaN at index 1 must stay the max
         nxt = [v / top for v in nxt]
-        if min(nxt[i - 1] for i in support) ** (m - 1) < 1e-300:
+        if min(map(nxt.__getitem__, support)) ** power < 1e-300:
             # a support component underflowed: the next ratios would divide by ~0
             break
         x = nxt
 
     value = (low + high) / 2.0
-    residual = max(
-        abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim)
-    )
+    residual = max(abs(contracted[i] - value * x[i] ** power) for i in range(1, size))
     return EigenPair(
         value=value,
-        vector=tuple(x),
+        vector=tuple(islice(x, 1, None)),
         residual=residual,
         iterations=iterations,
         converged=converged,

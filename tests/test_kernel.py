@@ -477,6 +477,26 @@ def test_power_iteration_matches_the_reference_loop(t, tol, max_iter):
     assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
 
 
+# power_iteration keeps x indexed from 1 with slot 0 as padding, which must enter no max or min.
+# The first two overflow their coefficient, so the components turn inf, then NaN: a NaN at index 1
+# stays the max, where a padding 0.0 ahead of it would win and divide by zero.  The last two keep
+# index 1, or the layered tensor's padding indices 4 and 5, off the support
+BUFFER_EDGES = {
+    "overflow at index 1": SymTensor(3, 3, {(1, 2, 3): 1e308}),
+    "overflow on two keys": SymTensor(2, 3, {(1, 2): 1e308, (2, 3): 1e308}),
+    "index 1 off the support": SymTensor(3, 5, {(2, 3, 5): 1e300, (2, 4, 5): 1.0}),
+    "padding off the support": e_adjacency_tensor(parse_hypergraph("3\n1 2 3\n")),
+}
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5, 40])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+@pytest.mark.parametrize("name", BUFFER_EDGES)
+def test_power_iteration_matches_the_reference_loop_at_the_buffer_edges(name, tol, max_iter):
+    t = BUFFER_EDGES[name]
+    assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
+
+
 def test_power_iteration_working_set_per_key():
     # 2001 keys of 20 distinct indices: one (key, coefficient) pair each, no term per target
     t = e_adjacency_tensor(parse_hypergraph(pairs_text(20, seed=1)))

@@ -1,9 +1,10 @@
-"""The line counter that quotes the package's line budget, and the traffic counter."""
+"""The line counter that quotes the package's line budget, the traffic counter and the benchmark pair runner."""
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import subprocess
 import sys
 import types
@@ -24,6 +25,7 @@ def load_tool(name: str):
 
 src_lines = load_tool("src_lines")
 reach = load_tool("reach")
+bench_pairs = load_tool("bench_pairs")
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -117,3 +119,59 @@ def test_reach_exits_with_a_message_when_a_golden_case_fails(tmp_path, monkeypat
         monkeypatch.setattr(reach, "drive_goldens_and_one_round", drive)
         assert reach.main(["reach.py", str(package)]) == 1
         assert capsys.readouterr() == ("", f"reach.py: golden case 'newcmd k12.hg' {message}\n")
+
+
+def final(correct=True, failed=0, **values):
+    """A perfbench final line with every end-to-end metric; the named ones take the given values."""
+    metrics = {m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]} for m in bench_pairs.BENCHMARK["end_to_end"]}
+    return {"correct": correct, "attempted": 20, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_counts_ties_for_neither_side_and_reads_each_direction():
+    rates = [(100.0, 104.0), (110.0, 110.0), (120.0, 130.0)]  # (parent, change): the second pair ties
+    p50s = [(3.0, 2.0), (3.0, 3.5), (3.0, 2.5)]  # lower is better: the change wins pairs 1 and 3
+    runs = [
+        {"pair": pair, "side": side, "final": final(requests_per_s=rate[k], request_p50_geomean_ms=p50[k], failed=k)}
+        for pair, rate, p50 in zip([1, 2, 3], rates, p50s)
+        for k, side in enumerate(["parent", "change"])
+    ]
+    runs[1]["final"]["correct"] = False
+    summary = bench_pairs.summarize(runs)
+    assert summary["pairs"] == 3
+    assert summary["metrics"]["requests_per_s"] == {
+        "parent_q1_median_q3": [105.0, 110.0, 115.0],
+        "change_q1_median_q3": [107.0, 110.0, 120.0],
+        "median_change_ratio": 0.0,
+        "pairs_change_better": "2/3",
+        "parent_iqr": 10.0,
+    }
+    p50 = summary["metrics"]["request_p50_geomean_ms"]
+    assert (p50["change_q1_median_q3"], p50["pairs_change_better"]) == ([2.25, 2.5, 3.0], "2/3")
+    assert p50["median_change_ratio"] == pytest.approx(-1 / 6)
+    assert summary["metrics"]["setup_s"]["pairs_change_better"] == "0/3"  # every pair ties
+    assert (summary["failed_ratio_seen"], summary["all_correct"]) == ([0.0, 0.05], False)
+
+
+def test_bench_pairs_alternates_the_first_side_and_numbers_pairs_on(tmp_path):
+    calls = []
+
+    def runner(root, workload, seed, seconds):
+        calls.append(root.name)
+        return final(requests_per_s=float(len(calls))), f"sha-{root.name}"
+
+    out = tmp_path / "bench.json"
+    out.write_text('{"about": "kept"}')
+    argv = ["p", "c", "--workload", "spectral", "--seed", "1", "--pairs", "3", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv, runner) == 0
+    assert calls == ["p", "c", "c", "p", "p", "c"]
+    assert bench_pairs.main(argv[:7] + ["1"] + argv[8:], runner) == 0  # one more pair: the fourth, change first
+    book = json.loads(out.read_text())
+    assert book["about"] == "kept"
+    assert [(r["pair"], r["side"], r["first"]) for r in book["runs"][-2:]] == [(4, "change", True), (4, "parent", False)]
+    assert {(r["workload"], r["seed"], r["source_sha256"]) for r in book["runs"]} == {
+        ("spectral", 1, "sha-p"),
+        ("spectral", 1, "sha-c"),
+    }
+    # the change ran second in pairs 1 and 3, first in pairs 2 and 4, and each later run read higher
+    assert book["summary"]["spectral.s1"]["metrics"]["requests_per_s"]["pairs_change_better"] == "2/4"
+    assert book["summary"]["spectral.s1"]["pairs"] == 4
