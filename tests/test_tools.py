@@ -123,7 +123,8 @@ def test_reach_exits_with_a_message_when_a_golden_case_fails(tmp_path, monkeypat
 
 def final(correct=True, failed=0, **values):
     """A perfbench final line with every end-to-end metric; the named ones take the given values."""
-    metrics = {m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]} for m in bench_pairs.BENCHMARK["end_to_end"]}
+    end_to_end = bench_pairs.benchmark()["end_to_end"]
+    metrics = {m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]} for m in end_to_end}
     return {"correct": correct, "attempted": 20, "failed": failed, "metrics": metrics}
 
 
@@ -167,7 +168,8 @@ def test_bench_pairs_alternates_the_first_side_and_numbers_pairs_on(tmp_path):
     assert bench_pairs.main(argv[:7] + ["1"] + argv[8:], runner) == 0  # one more pair: the fourth, change first
     book = json.loads(out.read_text())
     assert book["about"] == "kept"
-    assert [(r["pair"], r["side"], r["first"]) for r in book["runs"][-2:]] == [(4, "change", True), (4, "parent", False)]
+    last_pair = [(r["pair"], r["side"], r["first"]) for r in book["runs"][-2:]]
+    assert last_pair == [(4, "change", True), (4, "parent", False)]
     assert {(r["workload"], r["seed"], r["source_sha256"]) for r in book["runs"]} == {
         ("spectral", 1, "sha-p"),
         ("spectral", 1, "sha-c"),

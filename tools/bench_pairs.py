@@ -22,18 +22,23 @@ Other keys of FILE are kept as they are.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import subprocess
 from pathlib import Path
 
-BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+@functools.cache
+def benchmark() -> dict:
+    """BENCHMARK.json of the checkout that holds this script."""
+    return json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
     """(final, source_sha256): one run of perfbench in the checkout root."""
     flags = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(BENCHMARK["command"] + flags, cwd=root, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(benchmark()["command"] + flags, cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     detail = json.loads(next(line for line in lines if line.startswith("detail "))[len("detail ") :])
     return json.loads(lines[-1]), detail["environment"]["source_sha256"]
@@ -51,7 +56,7 @@ def summarize(runs: list[dict]) -> dict:
         sides[run["side"]][run["pair"]] = run["final"]
     pairs = sorted(sides["parent"].keys() & sides["change"].keys())
     metrics = {}
-    for metric in BENCHMARK["end_to_end"]:
+    for metric in benchmark()["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         value = {side: {p: f["metrics"][name]["value"] for p, f in finals.items()} for side, finals in sides.items()}
         parent, change = quartiles(list(value["parent"].values())), quartiles(list(value["change"].values()))
