@@ -50,7 +50,6 @@ from .spectral import (
 from .symtensor import (
     SymTensor,
     format_value,
-    laplacian,
     layer_tensor_degree_normalized,
     layer_tensor_eigen_normalized,
     layer_tensor_raw,
@@ -102,7 +101,6 @@ __all__ = [
     "hypergraph_polynomial",
     "is_e_adjacent",
     "is_k_adjacent",
-    "laplacian",
     "layer_coefficients",
     "layer_counts_from_tensor",
     "layer_tensor_degree_normalized",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from operator import itemgetter
 
-from .hypergraph import Hypergraph, _trusted
+from .hypergraph import Hypergraph, _integer, _trusted
 from .symtensor import SymTensor
 from .uniformize import e_adjacency_tensor
 
@@ -32,6 +32,8 @@ def partitions_count(m: int, s: int) -> int:
     1..min(s, m - s) counts them.  Zero for negative input and for s > m;
     p_0(0) = 1.  Tables of more than PARTITION_CAP additions are refused.
     """
+    _integer(m, "m")
+    _integer(s, "s")
     if m < 0 or s < 0 or s > m:
         return 0
     rest = m - s
@@ -53,6 +55,8 @@ def banerjee_alpha(k_max: int, s: int) -> int:
     That is the number of surjections from k_max slots onto s labels,
     computed by inclusion-exclusion as sum_j (-1)^j C(s, j) (s - j)^k_max.
     """
+    _integer(k_max, "k_max")
+    _integer(s, "s")
     if not 1 <= s <= k_max:
         raise ValueError(f"need 1 <= s <= k_max, got s={s}, k_max={k_max}")
     return sum((-1) ** j * math.comb(s, j) * (s - j) ** k_max for j in range(s + 1))

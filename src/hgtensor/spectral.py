@@ -10,7 +10,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, itemgetter
 from typing import Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _integer
 from .symtensor import SymTensor, _exact_sums, _float_fold, _float_plan, _rational, _slice_list, _value_objects
 from .symtensor import layer_tensor_raw
 from .uniformize import e_adjacency_tensor
@@ -30,6 +30,8 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
     passes when the largest residual is at most tol * (1 + |value|).  With
     rational inputs and tol = 0 this is an exact test.
     """
+    if not tol >= 0:  # a negative or NaN tolerance would fail every pair
+        raise ValueError("tolerance must be nonnegative")
     m = t.order
     objects = _value_objects(t.entries.values()).values()  # one test per value object
     if len(x) != t.dim or not _rational(chain([value], x, objects)):  # apply names a bad length
@@ -79,24 +81,26 @@ class BoundReport:
     disks: tuple[tuple[Fraction | float, Fraction | float], ...]
 
 
-def _slice_masses(h: Hypergraph) -> tuple[Counter, list[int]]:
-    """(degrees, padding): the layered tensor's slice sums, counted from the edges alone.
+def _slice_masses(h: Hypergraph) -> tuple[Counter, list[int], tuple[int, int, int]]:
+    """(degrees, padding, bound): the layered tensor's slice sums, counted from the edges alone.
 
     ``degrees`` counts each vertex's edges; ``padding[j-1]`` counts the edges of
     size <= j, the ones padding vertex n+j lies on, for j in 1..k_max-1.
+    ``bound`` is (Delta, Delta*, max of the two), Delta the largest degree and
+    Delta* the largest padding count.
     """
     if h.p == 0:
         raise ValueError("the bound needs at least one edge")
     sizes = Counter(map(len, h.edges))
     padding = list(accumulate(map(sizes.__getitem__, range(1, max(sizes)))))
-    return Counter(chain.from_iterable(h.edges)), padding
+    degrees = Counter(chain.from_iterable(h.edges))
+    delta, delta_star = max(degrees.values()), max(padding, default=0)
+    return degrees, padding, (delta, delta_star, max(delta, delta_star))
 
 
 def _degree_bound(h: Hypergraph) -> tuple[int, int, int]:
     """(Delta, Delta*, max of the two), counted from the edges alone."""
-    degrees, padding = _slice_masses(h)
-    delta, delta_star = max(degrees.values()), max(padding, default=0)
-    return delta, delta_star, max(delta, delta_star)
+    return _slice_masses(h)[2]
 
 
 def spectral_bound(h: Hypergraph) -> BoundReport:
@@ -113,13 +117,12 @@ def spectral_bound(h: Hypergraph) -> BoundReport:
     ``gershgorin_disks(e_adjacency_tensor(h))`` would give them, with no
     tensor built; equal values share one ``Fraction``.
     """
-    degrees, padding = _slice_masses(h)
-    delta, delta_star = max(degrees.values()), max(padding, default=0)
+    degrees, padding, bound = _slice_masses(h)
     shared = {c: Fraction(c) for c in {0, *degrees.values(), *padding}}
     masses = list(map(shared.__getitem__, chain(map(degrees.get, range(1, h.n + 1), repeat(0)), padding)))
     zero = repeat(shared[0])
     disks = tuple(zip(zero, masses) if padding else zip(masses, zero))  # no padding: k_max = 1
-    return BoundReport(delta, delta_star, max(delta, delta_star), disks)
+    return BoundReport(*bound, disks)
 
 
 @dataclass(frozen=True)
@@ -148,13 +151,16 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     ratios (t x^{m-1})_i / x_i^{m-1} bracket the dominant eigenvalue from
     below and above; iteration stops when the bracket is narrower than tol.
     Reducible inputs may stall with an open bracket, which is reported via
-    ``converged`` rather than raised.
+    ``converged`` rather than raised.  Values whose first contraction
+    overflows are refused: every later x is at most 1, so that contraction
+    is the largest.
     """
     m = t.order
     if m < 2:
         raise ValueError("power iteration needs a tensor of order at least 2")
     if not tol >= 0:  # a NaN tolerance would never be met
         raise ValueError("tolerance must be nonnegative")
+    _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     values = _value_objects(t.entries.values()).values()  # one test per value object
@@ -172,11 +178,14 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     x = [0.0] * size
     for i in support:
         x[i] = 1.0
+    contracted = _float_fold(plan, x)
+    # with finite nonnegative values, x = 1 gives the largest contraction: every later x is at most 1
+    if not max(contracted) < math.inf:
+        raise ValueError("power iteration needs values whose contraction stays finite")
     converged = False
     iterations = 0
     low = high = 0.0
     while True:
-        contracted = _float_fold(plan, x)
         ratios = [contracted[i] / x[i] ** power for i in support]
         low, high = min(ratios), max(ratios)
         iterations += 1
@@ -188,12 +197,13 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         nxt = [0.0] * size
         for i in support:
             nxt[i] = contracted[i] ** root
-        top = max(islice(nxt, 1, None))  # slot 0 stays out: a NaN at index 1 must stay the max
+        top = max(nxt)  # every component is finite and nonnegative: slot 0's 0.0 never wins
         nxt = [v / top for v in nxt]
         if min(map(nxt.__getitem__, support)) ** power < 1e-300:
             # a support component underflowed: the next ratios would divide by ~0
             break
         x = nxt
+        contracted = _float_fold(plan, x)
 
     value = (low + high) / 2.0
     residual = max(abs(contracted[i] - value * x[i] ** power) for i in range(1, size))

@@ -414,18 +414,6 @@ class SymTensor:
         zero = Fraction(0)  # one shared zero: most indices of a sparse tensor sum to nothing
         return [Fraction(s, scale) if s else zero for s in sums[1:]]
 
-    def scale_add_identity(self, alpha: Value, beta: Value) -> SymTensor:
-        """Return alpha * self + beta * I, with I the diagonal identity."""
-        entries: dict[Key, Value] = {}
-        if alpha != 0:
-            for key, value in self.entries.items():
-                entries[key] = alpha * value
-        if beta != 0:
-            for j in range(1, self.dim + 1):
-                diag = (j,) * self.order
-                entries[diag] = entries.get(diag, Fraction(0)) + beta
-        return SymTensor(self.order, self.dim, entries)
-
     def to_coo(self) -> str:
         """COO text: header then one line per canonical key, lexicographic."""
         return "".join(self._coo_lines())
@@ -528,17 +516,3 @@ def layer_tensor_eigen_normalized(hk: Hypergraph, k: int | None = None) -> SymTe
             value *= deg[i - 1] ** (-1.0 / k)
         entries[key] = value
     return SymTensor(k, hk.n, entries)
-
-
-def laplacian(a: SymTensor, degree_seq: Sequence[int]) -> SymTensor:
-    """I_deg - a, where I_deg has diagonal 1 exactly at positive-degree indices."""
-    if len(degree_seq) != a.dim:
-        raise ValueError(f"need {a.dim} degrees, got {len(degree_seq)}")
-    if any(d < 0 for d in degree_seq):
-        raise ValueError("degrees must be nonnegative")
-    entries: dict[Key, Value] = {key: -value for key, value in a.entries.items()}
-    for j, d in enumerate(degree_seq, start=1):
-        if d > 0:
-            diag = (j,) * a.order
-            entries[diag] = entries.get(diag, Fraction(0)) + 1
-    return SymTensor(a.order, a.dim, entries)

@@ -1,16 +1,22 @@
-"""Zhou's weighted adjacency matrix, kept beside the tests as a cross-check.
+"""Test inputs the package does not build: Zhou's matrix and two diagonal shifts.
 
+Zhou's weighted adjacency matrix is kept beside the tests as a cross-check.
 H W H^T - D_v is built from the incidence matrix by an actual matrix product,
 so it checks the package's direct counting (``adjacency_matrix_bretto``)
 rather than repeating it.  The product is O(n^2 * p) in ``Fraction``s, which
 is why it serves the tests and is not part of the package.
+
+``scale_add_identity`` and ``laplacian`` add diagonal keys, which repeat an
+index, and ``laplacian`` negates every value: inputs that the paper's tensors
+never hold, drawn to reach the kernels' repeated-index and negative paths.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
-from hgtensor import Hypergraph, WeightedHypergraph
+from hgtensor import Hypergraph, SymTensor, WeightedHypergraph
 
 Matrix = list[list[Fraction]]
 
@@ -38,3 +44,23 @@ def adjacency_matrix_zhou(hw: WeightedHypergraph) -> Matrix:
         weighted_degree = sum((w for e, w in zip(h.edges, hw.weights) if v + 1 in e), Fraction(0))
         a[v][v] -= weighted_degree
     return a
+
+
+def scale_add_identity(t: SymTensor, alpha: Fraction, beta: Fraction) -> SymTensor:
+    """alpha * t + beta * I, with I the diagonal identity."""
+    entries = {key: alpha * value for key, value in t.entries.items()} if alpha != 0 else {}
+    if beta != 0:
+        for j in range(1, t.dim + 1):
+            diag = (j,) * t.order
+            entries[diag] = entries.get(diag, Fraction(0)) + beta
+    return SymTensor(t.order, t.dim, entries)
+
+
+def laplacian(a: SymTensor, degree_seq: Sequence[int]) -> SymTensor:
+    """I_deg - a, where I_deg has diagonal 1 exactly at positive-degree indices."""
+    entries = {key: -value for key, value in a.entries.items()}
+    for j, d in enumerate(degree_seq, start=1):
+        if d > 0:
+            diag = (j,) * a.order
+            entries[diag] = entries.get(diag, Fraction(0)) + 1
+    return SymTensor(a.order, a.dim, entries)

@@ -41,7 +41,6 @@ from hgtensor import (
     dnf_extract,
     e_adjacency_tensor,
     gershgorin_disks,
-    laplacian,
     layer_counts_from_tensor,
     layer_tensor_eigen_normalized,
     multiplicity_weight,
@@ -55,6 +54,7 @@ from hgtensor.symtensor import _CHUNK, _LINEAR_CHUNK, _coo_rows, _exact_unrolled
 from hgtensor.symtensor import format_value
 from hgtensor.uniformize import _layered_order
 
+from matrices import laplacian, scale_add_identity
 from test_growth import pairs_text
 
 KERNEL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -213,7 +213,7 @@ def test_exact_apply_on_rational_vectors(data):
 @given(st.data())
 def test_repeated_indices_from_scale_add_identity(data):
     t = data.draw(tensors(orders=st.integers(2, 4)))
-    shifted = t.scale_add_identity(data.draw(rationals), data.draw(rationals))
+    shifted = scale_add_identity(t, data.draw(rationals), data.draw(rationals))
     x = data.draw(vectors(shifted, rationals))
     assert shifted.apply(x) == reference_apply(shifted, x)
     assert_matches_reference(shifted)
@@ -360,7 +360,7 @@ def residual_cases(draw):
     else:
         t = e_adjacency_tensor(draw(hypergraphs()))
     if kind == "shifted":  # diagonal keys repeat an index
-        t = t.scale_add_identity(draw(rationals), draw(rationals.filter(bool)))
+        t = scale_add_identity(t, draw(rationals), draw(rationals.filter(bool)))
     x = draw(vectors(t, rationals))
     x[draw(st.integers(0, t.dim - 1))] *= -1
     x[draw(st.integers(0, t.dim - 1))] = Fraction(0)
@@ -467,7 +467,7 @@ def eigen_tensors(draw):
         return draw(distinct_key_tensors(widths, nonnegative.filter(bool) | st.floats(0.01, 10)))
     t = e_adjacency_tensor(draw(hypergraphs().filter(lambda h: h.k_max >= 2)))
     if kind == "shifted":  # diagonal keys with a repeated index fall between keys of distinct indices
-        t = t.scale_add_identity(draw(nonnegative), draw(nonnegative.filter(bool)))
+        t = scale_add_identity(t, draw(nonnegative), draw(nonnegative.filter(bool)))
     return t
 
 
@@ -477,13 +477,9 @@ def test_power_iteration_matches_the_reference_loop(t, tol, max_iter):
     assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
 
 
-# power_iteration keeps x indexed from 1 with slot 0 as padding, which must enter no max or min.
-# The first two overflow their coefficient, so the components turn inf, then NaN: a NaN at index 1
-# stays the max, where a padding 0.0 ahead of it would win and divide by zero.  The last two keep
-# index 1, or the layered tensor's padding indices 4 and 5, off the support
+# power_iteration keeps x indexed from 1 with slot 0 as padding, which must enter no min.
+# These keep index 1, or the layered tensor's padding indices 4 and 5, off the support
 BUFFER_EDGES = {
-    "overflow at index 1": SymTensor(3, 3, {(1, 2, 3): 1e308}),
-    "overflow on two keys": SymTensor(2, 3, {(1, 2): 1e308, (2, 3): 1e308}),
     "index 1 off the support": SymTensor(3, 5, {(2, 3, 5): 1e300, (2, 4, 5): 1.0}),
     "padding off the support": e_adjacency_tensor(parse_hypergraph("3\n1 2 3\n")),
 }
@@ -495,6 +491,18 @@ BUFFER_EDGES = {
 def test_power_iteration_matches_the_reference_loop_at_the_buffer_edges(name, tol, max_iter):
     t = BUFFER_EDGES[name]
     assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        SymTensor(3, 3, {(1, 2, 3): 1e308}),  # the coefficient 1e308·2! overflows
+        SymTensor(2, 3, {(1, 2): 1e308, (2, 3): 1e308}),  # component 2 adds two finite products to inf
+    ],
+)
+def test_power_iteration_refuses_an_overflowing_first_contraction(t):
+    with pytest.raises(ValueError, match="^power iteration needs values whose contraction stays finite$"):
+        power_iteration(t)
 
 
 def test_power_iteration_working_set_per_key():

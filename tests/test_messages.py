@@ -10,6 +10,8 @@ from hgtensor import (
     HomogeneousPolynomial,
     Hypergraph,
     SymTensor,
+    banerjee_alpha,
+    check_eigenpair,
     decompose,
     degree,
     dnf_extract,
@@ -18,6 +20,8 @@ from hgtensor import (
     layer_coefficients,
     layer_counts_from_tensor,
     layer_tensor_raw,
+    partitions_count,
+    power_iteration,
     reconstruct,
     vertex_degrees_from_tensor,
 )
@@ -107,6 +111,23 @@ CASES = {
     "bool layer tensor order": (
         lambda: layer_tensor_raw(Hypergraph(3), True),
         "tensor order must be an integer, got True",
+    ),
+    # the counting and solver arguments are integers by the same rule
+    "float partition total": (lambda: partitions_count(2.0, 1), "m must be an integer, got 2.0"),
+    "bool partition total": (lambda: partitions_count(True, 1), "m must be an integer, got True"),
+    "float part count": (lambda: partitions_count(3, 1.0), "s must be an integer, got 1.0"),
+    "float alpha k_max": (lambda: banerjee_alpha(3.0, 2), "k_max must be an integer, got 3.0"),
+    "bool alpha size": (lambda: banerjee_alpha(3, True), "s must be an integer, got True"),
+    "float max_iter": (lambda: power_iteration(TRIANGLE, max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    "bool max_iter": (lambda: power_iteration(TRIANGLE, max_iter=True), "max_iter must be an integer, got True"),
+    # check_eigenpair refuses a tolerance as power_iteration does
+    "negative eigenpair tolerance": (
+        lambda: check_eigenpair(TRIANGLE, 2, [1, 1, 1], tol=-1),
+        "tolerance must be nonnegative",
+    ),
+    "NaN eigenpair tolerance": (
+        lambda: check_eigenpair(TRIANGLE, 2, [1, 1, 1], tol=float("nan")),
+        "tolerance must be nonnegative",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),

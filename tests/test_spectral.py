@@ -17,7 +17,6 @@ from hgtensor import (
     gershgorin_disks,
     graph_consistency_check,
     layer_tensor_degree_normalized,
-    laplacian,
     layer_tensor_raw,
     parse_hypergraph,
     power_iteration,
@@ -27,6 +26,7 @@ from hgtensor import (
 from hgtensor.spectral import _degree_bound
 
 from conftest import random_hypergraph, random_uniform_hypergraph
+from matrices import laplacian, scale_add_identity
 
 K3 = "3\n1 2\n2 3\n1 3\n"
 
@@ -102,7 +102,7 @@ class TestCheckEigenpair:
     def test_shift_keeps_eigenpairs(self, k3_tensor):
         ones = [Fraction(1), Fraction(1), Fraction(1), Fraction(0)]
         alpha, beta = Fraction(3, 2), Fraction(2)
-        shifted = k3_tensor.scale_add_identity(alpha, beta)
+        shifted = scale_add_identity(k3_tensor, alpha, beta)
         assert check_eigenpair(shifted, alpha * 2 + beta, ones).passed
         axis = [Fraction(0)] * 3 + [Fraction(1)]
         assert check_eigenpair(shifted, beta, axis).passed
@@ -130,7 +130,7 @@ class TestGershgorin:
         assert [r for _, r in disks] == [2, 2, 2, 3, 1, 1, 3, 2, 5]
 
     def test_diagonal_goes_to_the_center(self, k3_tensor):
-        shifted = k3_tensor.scale_add_identity(Fraction(1), Fraction(5))
+        shifted = scale_add_identity(k3_tensor, Fraction(1), Fraction(5))
         disks = gershgorin_disks(shifted)
         assert [c for c, _ in disks] == [5, 5, 5, 5]
         assert [r for _, r in disks] == [2, 2, 2, 0]
@@ -257,14 +257,14 @@ class TestPowerIteration:
         for _ in range(10):
             alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
             beta = Fraction(rng.randint(0, 4), rng.randint(1, 3))
-            shifted = power_iteration(triangle.scale_add_identity(alpha, beta))
+            shifted = power_iteration(scale_add_identity(triangle, alpha, beta))
             assert shifted.converged
             assert shifted.value == pytest.approx(
                 float(alpha) * base.value + float(beta), abs=1e-8
             )
 
     def test_shifted_padded_tensor_stalls_without_crashing(self, k3_tensor):
-        shifted = k3_tensor.scale_add_identity(Fraction(1), Fraction(1, 2))
+        shifted = scale_add_identity(k3_tensor, Fraction(1), Fraction(1, 2))
         pair = power_iteration(shifted)
         assert not pair.converged
         assert pair.bracket_low <= 2.5 <= pair.bracket_high

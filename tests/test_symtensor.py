@@ -12,7 +12,6 @@ from hgtensor import (
     SymTensor,
     e_adjacency_tensor,
     format_value,
-    laplacian,
     layer_tensor_degree_normalized,
     layer_tensor_eigen_normalized,
     layer_tensor_raw,
@@ -152,25 +151,6 @@ class TestReductions:
         assert sample_tensor.nnz_positions() == 42
 
 
-class TestScaleAddIdentity:
-    def test_zero_tensor_becomes_identity(self):
-        t = SymTensor(2, 2, {})
-        assert t.scale_add_identity(Fraction(0), Fraction(1)).entries == {
-            (1, 1): Fraction(1),
-            (2, 2): Fraction(1),
-        }
-
-    def test_affine_entries(self, sample_tensor):
-        shifted = sample_tensor.scale_add_identity(Fraction(2), Fraction(3))
-        assert shifted.get((1, 2, 3)) == 1
-        assert shifted.get((4, 4, 4)) == 3
-        assert shifted.get((1, 2, 4)) == 0
-
-    def test_cancellation_drops_entries(self):
-        t = SymTensor(2, 2, {(1, 1): Fraction(-1)})
-        assert t.scale_add_identity(Fraction(1), Fraction(1)).entries == {(2, 2): Fraction(1)}
-
-
 class TestLayerTensors:
     def test_raw(self, sample):
         layer2 = Hypergraph(7, (frozenset({6, 7}), frozenset({3, 4}), frozenset({4, 7})))
@@ -216,28 +196,6 @@ class TestLayerTensors:
     def test_eigen_normalized_single_edge(self):
         t = layer_tensor_eigen_normalized(Hypergraph(2, (frozenset({1, 2}),)))
         assert t.get((1, 2)) == pytest.approx(1.0)
-
-
-class TestLaplacian:
-    def test_single_edge_graph(self):
-        a = layer_tensor_degree_normalized(Hypergraph(2, (frozenset({1, 2}),)))
-        lap = laplacian(a, (1, 1))
-        assert lap.entries == {
-            (1, 1): Fraction(1),
-            (2, 2): Fraction(1),
-            (1, 2): Fraction(-1),
-        }
-
-    def test_zero_degree_gets_no_diagonal_one(self):
-        a = layer_tensor_degree_normalized(Hypergraph(3, (frozenset({1, 2}),)), 2)
-        lap = laplacian(a, (1, 1, 0))
-        assert lap.get((3, 3)) == 0
-
-    def test_validation(self, sample_tensor):
-        with pytest.raises(ValueError, match="degrees"):
-            laplacian(sample_tensor, (1, 2))
-        with pytest.raises(ValueError, match="nonnegative"):
-            laplacian(sample_tensor, (-1,) * 9)
 
 
 class TestFormatting:
