@@ -493,16 +493,19 @@ def test_power_iteration_matches_the_reference_loop_at_the_buffer_edges(name, to
     assert bits(power_iteration(t, tol, max_iter)) == bits(reference_power_iteration(t, tol, max_iter))
 
 
-@pytest.mark.parametrize(
-    "t",
-    [
-        SymTensor(3, 3, {(1, 2, 3): 1e308}),  # the coefficient 1e308·2! overflows
-        SymTensor(2, 3, {(1, 2): 1e308, (2, 3): 1e308}),  # component 2 adds two finite products to inf
-    ],
-)
-def test_power_iteration_refuses_an_overflowing_first_contraction(t):
+OVERFLOW_EDGES = {
+    "overflow at index 1": SymTensor(3, 3, {(1, 2, 3): 1e308}),  # the coefficient 1e308·2! overflows
+    "overflow on two keys": SymTensor(2, 3, {(1, 2): 1e308, (2, 3): 1e308}),  # two finite products add to inf
+}
+
+
+# the refusal comes before the first step, so no tol or max_iter lets a nan or inf value through
+@pytest.mark.parametrize("max_iter", [1, 2, 5, 40])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+@pytest.mark.parametrize("name", OVERFLOW_EDGES)
+def test_power_iteration_refuses_an_overflowing_first_contraction(name, tol, max_iter):
     with pytest.raises(ValueError, match="^power iteration needs values whose contraction stays finite$"):
-        power_iteration(t)
+        power_iteration(OVERFLOW_EDGES[name], tol, max_iter)
 
 
 def test_power_iteration_working_set_per_key():
