@@ -18,7 +18,7 @@ from .banerjee import banerjee_alpha, banerjee_tensor, compare_tensors, partitio
 from .hypergraph import Hypergraph, parse_hypergraph
 from .layers import decompose
 from .polynomials import dnf_extract, hypergraph_polynomial
-from .spectral import _degree_bound, graph_consistency_check, power_iteration
+from .spectral import _slice_masses, graph_consistency_check, power_iteration
 from .symtensor import (
     _decimal,
     format_value,
@@ -104,8 +104,7 @@ def _cmd_tensor(h: Hypergraph, args) -> None:
     elif args.normalization is not None:
         raise _UsageError("--normalization needs --layer")
     else:
-        model = args.model or "layered"
-        t = e_adjacency_tensor(h) if model == "layered" else banerjee_tensor(h)
+        t = banerjee_tensor(h) if args.model == "banerjee" else e_adjacency_tensor(h)
     _write_lines(t._coo_lines())
 
 
@@ -189,7 +188,7 @@ def _cmd_compare(h: Hypergraph, args) -> None:
 
 
 def _cmd_bound(h: Hypergraph, args) -> None:
-    delta, delta_star, bound = _degree_bound(h)
+    delta, delta_star, bound = _slice_masses(h)[2]
     _report([("delta", delta), ("delta_star", delta_star), ("bound", bound)])
 
 

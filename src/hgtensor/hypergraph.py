@@ -11,22 +11,21 @@ Edge = frozenset[int]
 Matrix = list[list[Fraction]]
 
 
+def _integer(value: int, what: str) -> None:
+    """Refuse a count or vertex index that is not an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_edge(vertices: Iterable[int], n: int) -> Edge:
     edge = frozenset(vertices)
     if not edge:
         raise ValueError("hyperedge must contain at least one vertex")
     for v in edge:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"vertex index must be an integer, got {v!r}")
+        _integer(v, "vertex index")
         if not 1 <= v <= n:
             raise ValueError(f"vertex index {v} out of range [1, {n}]")
     return edge
-
-
-def _integer(value: int, what: str) -> None:
-    """Refuse a count that is not an int, as a vertex index is refused; a bool is not a count."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _trusted(cls, *values):

@@ -98,11 +98,6 @@ def _slice_masses(h: Hypergraph) -> tuple[Counter, list[int], tuple[int, int, in
     return degrees, padding, (delta, delta_star, max(delta, delta_star))
 
 
-def _degree_bound(h: Hypergraph) -> tuple[int, int, int]:
-    """(Delta, Delta*, max of the two), counted from the edges alone."""
-    return _slice_masses(h)[2]
-
-
 def spectral_bound(h: Hypergraph) -> BoundReport:
     """max(Delta, Delta*) for the layered tensor of h, with its Gershgorin disks.
 
@@ -149,11 +144,13 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     slice; zero-slice indices stay pinned at 0) and repeats
     x <- normalize((t x^{m-1})^{1/(m-1)}).  At each step the componentwise
     ratios (t x^{m-1})_i / x_i^{m-1} bracket the dominant eigenvalue from
-    below and above; iteration stops when the bracket is narrower than tol.
-    Reducible inputs may stall with an open bracket, which is reported via
-    ``converged`` rather than raised.  Values whose first contraction
-    overflows are refused: every later x is at most 1, so that contraction
-    is the largest.
+    below and above.  Iteration stops in one of three ways: the bracket
+    closes to within tol, the cap of max_iter steps is reached, or a support
+    component of the next x underflows.  ``converged`` says whether the
+    bracket closed; reducible inputs may stall with it open, which is
+    reported rather than raised.  Values whose first contraction overflows
+    are refused: every later x is at most 1, so that contraction is the
+    largest.
     """
     m = t.order
     if m < 2:
@@ -182,21 +179,13 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
     # with finite nonnegative values, x = 1 gives the largest contraction: every later x is at most 1
     if not max(contracted) < math.inf:
         raise ValueError("power iteration needs values whose contraction stays finite")
-    converged = False
-    iterations = 0
-    low = high = 0.0
-    while True:
+    for iterations in range(1, max_iter + 1):
         ratios = [contracted[i] / x[i] ** power for i in support]
         low, high = min(ratios), max(ratios)
-        iterations += 1
-        if high - low <= tol:
-            converged = True
+        if high - low <= tol or iterations == max_iter:
             break
-        if iterations >= max_iter:
-            break
-        nxt = [0.0] * size
-        for i in support:
-            nxt[i] = contracted[i] ** root
+        # _float_fold leaves slot 0 and every index off the support at 0.0, and 0.0 ** root is 0.0
+        nxt = [c ** root for c in contracted]
         top = max(nxt)  # every component is finite and nonnegative: slot 0's 0.0 never wins
         nxt = [v / top for v in nxt]
         if min(map(nxt.__getitem__, support)) ** power < 1e-300:
@@ -204,6 +193,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
             break
         x = nxt
         contracted = _float_fold(plan, x)
+    converged = high - low <= tol
 
     value = (low + high) / 2.0
     residual = max(abs(contracted[i] - value * x[i] ** power) for i in range(1, size))
@@ -243,7 +233,6 @@ def graph_consistency_check(g: Hypergraph) -> GraphCaseReport:
     """
     if g.p == 0 or any(len(e) != 2 for e in g.edges):
         raise ValueError("graph consistency check needs a 2-uniform hypergraph with edges")
-    n = g.n
     t = e_adjacency_tensor(g)
     a = layer_tensor_raw(g, 2)
     c2 = Fraction(1)
@@ -258,8 +247,7 @@ def graph_consistency_check(g: Hypergraph) -> GraphCaseReport:
         and abs(layered_pair.value - graph_pair.value) <= 1e-8
     )
 
-    axis = [Fraction(0)] * (n + 1)
-    axis[n] = Fraction(1)
+    axis = [Fraction(0)] * g.n + [Fraction(1)]
     zero_ok = check_eigenpair(t, Fraction(0), axis, 0).passed
 
     return GraphCaseReport(

@@ -23,7 +23,7 @@ from hgtensor import (
     spectral_bound,
     symtensor,
 )
-from hgtensor.spectral import _degree_bound
+from hgtensor.spectral import _slice_masses
 
 from conftest import random_hypergraph, random_uniform_hypergraph
 from matrices import laplacian, scale_add_identity
@@ -199,7 +199,7 @@ class TestClosedFormBound:
     def test_disks_and_degrees_match_the_built_tensor(self, h):
         report = spectral_bound(h)
         assert report.disks == gershgorin_disks(e_adjacency_tensor(h))
-        assert (report.delta, report.delta_star, report.bound) == _degree_bound(h)
+        assert (report.delta, report.delta_star, report.bound) == _slice_masses(h)[2]
         assert report.bound == max(c + r for c, r in report.disks)
         values = [v for disk in report.disks for v in disk]
         assert {type(v) for v in values} == {Fraction}
