@@ -11,10 +11,18 @@ Edge = frozenset[int]
 Matrix = list[list[Fraction]]
 
 
-def _integer(value: int, what: str) -> None:
-    """Refuse a count or vertex index that is not an int; a bool is not one."""
+def _integer(value: int, what: str, low: int | None = None, high: int | None = None) -> None:
+    """Refuse a count, order or index that is not an int (a bool is not one) or is out of bounds.
+
+    The type is checked first.  With ``high`` the range is [low, high]; with ``low`` alone it
+    is a floor, read as "nonnegative" when it is 0.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{what} {value} out of range [{low}, {high}]")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be nonnegative" if low == 0 else f"{what} must be at least {low}")
 
 
 def _as_edge(vertices: Iterable[int], n: int) -> Edge:
@@ -22,9 +30,7 @@ def _as_edge(vertices: Iterable[int], n: int) -> Edge:
     if not edge:
         raise ValueError("hyperedge must contain at least one vertex")
     for v in edge:
-        _integer(v, "vertex index")
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex index {v} out of range [1, {n}]")
+        _integer(v, "vertex index", 1, n)
     return edge
 
 
@@ -48,9 +54,7 @@ class Hypergraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _integer(self.n, "vertex count")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _integer(self.n, "vertex count", 0)
         normalized = tuple(_as_edge(e, self.n) for e in self.edges)
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate hyperedge in edge family")

@@ -22,9 +22,7 @@ class LayerDecomposition:
     layers: tuple[Hypergraph, ...]
 
     def layer(self, k: int) -> Hypergraph:
-        _integer(k, "layer index")
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"layer index {k} out of range [1, {self.k_max}]")
+        _integer(k, "layer index", 1, self.k_max)
         return self.layers[k - 1]
 
 

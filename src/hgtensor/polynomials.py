@@ -37,12 +37,8 @@ class HomogeneousPolynomial:
     monomials: dict[Monomial, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _integer(self.degree, "polynomial degree")
-        _integer(self.var_count, "variable count")
-        if self.degree < 1:
-            raise ValueError("polynomial degree must be at least 1")
-        if self.var_count < 0:
-            raise ValueError("variable count must be nonnegative")
+        _integer(self.degree, "polynomial degree", 1)
+        _integer(self.var_count, "variable count", 0)
         coefficients = {key: Fraction(c) for key, c in self.monomials.items()}
         length = f"have degree {self.degree}"
         canonical = _canonical(coefficients, self.degree, self.var_count, "monomial", length)
@@ -92,6 +88,7 @@ def homogenize_step(
     ``y_index`` must be the next free variable index; ``p_next`` has degree
     r.degree + 1 and uses only variables that already exist.
     """
+    _integer(y_index, "fresh variable")
     if y_index <= r.var_count:
         raise ValueError(f"variable {y_index} collides with an existing variable")
     if y_index != r.var_count + 1:
@@ -134,10 +131,9 @@ def hypergraph_polynomial(
 
 def _dnf_order(t: SymTensor, n: int, size: int) -> int:
     """The order k of t, after checking the layered shape and that size is an integer in [1, k]."""
-    _integer(size, "size")
+    _integer(size, "size")  # the type before the shape, the range after it
     k = _layered_order(t, n)
-    if not 1 <= size <= k:
-        raise ValueError(f"size {size} out of range [1, {k}]")
+    _integer(size, "size", 1, k)
     return k
 
 

@@ -157,9 +157,7 @@ def power_iteration(t: SymTensor, tol: float = 1e-10, max_iter: int = 10000) -> 
         raise ValueError("power iteration needs a tensor of order at least 2")
     if not tol >= 0:  # a NaN tolerance would never be met
         raise ValueError("tolerance must be nonnegative")
-    _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _integer(max_iter, "max_iter", 1)
     values = _value_objects(t.entries.values()).values()  # one test per value object
     if any(v < 0 for v in values):
         raise ValueError("power iteration needs a nonnegative tensor")

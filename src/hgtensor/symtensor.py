@@ -315,10 +315,11 @@ def _decimal(n: int, what: str) -> str:
 def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, length: str) -> dict:
     """Entries under sorted keys, zeros dropped: the rule tensors and polynomials share.
 
-    Each key needs ``order`` indices in [1, dim] and a canonical key of its own;
-    messages call it ``noun`` and say it must ``length`` ("have 3 indices").
+    Each key needs ``order`` indices in [1, dim] and a canonical key of its own, a zero
+    entry's included; messages call it ``noun`` and say it must ``length`` ("have 3 indices").
     """
     canonical: dict[Key, Value] = {}
+    zeros: set[Key] = set()  # canonical keys claimed by dropped zero entries
     for key, value in entries.items():
         if len(key) != order:
             raise ValueError(f"{noun} {key} does not {length}")
@@ -327,10 +328,12 @@ def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, le
         if any(not 1 <= i <= dim for i in key):
             raise ValueError(f"{noun} {key} has an index outside [1, {dim}]")
         ck = tuple(sorted(key))
-        if ck in canonical:
+        if ck in canonical or ck in zeros:
             raise ValueError(f"conflicting entries for canonical {noun} {ck}")
         if value != 0:
             canonical[ck] = value
+        else:
+            zeros.add(ck)
     return canonical
 
 
@@ -343,12 +346,8 @@ class SymTensor:
     entries: dict[Key, Value]
 
     def __post_init__(self) -> None:
-        _integer(self.order, "tensor order")
-        _integer(self.dim, "tensor dimension")
-        if self.order < 1:
-            raise ValueError("tensor order must be at least 1")
-        if self.dim < 0:
-            raise ValueError("tensor dimension must be nonnegative")
+        _integer(self.order, "tensor order", 1)
+        _integer(self.dim, "tensor dimension", 0)
         length = f"have {self.order} indices"
         canonical = _canonical(self.entries, self.order, self.dim, "key", length)
         object.__setattr__(self, "entries", canonical)
@@ -473,8 +472,7 @@ def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
     if inferred is None:
         if k is None:
             raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
-        if k < 1:
-            raise ValueError("tensor order must be at least 1")
+        _integer(k, "tensor order", 1)
         return k
     if k is not None and k != inferred:
         raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")

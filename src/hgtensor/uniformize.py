@@ -34,9 +34,7 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
     way every graph edge is counted twice in a degree sum.  An explicit
     sequence of k_max positive rationals is accepted as-is.
     """
-    _integer(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _integer(k_max, "k_max", 1)
     if isinstance(policy, str):
         if policy == "unit":
             return (Fraction(1),) * k_max
@@ -183,9 +181,7 @@ def _slice_ints(sums: dict, den: int | None, indices: Iterable[int]) -> list[int
 
 def _layered_order(t: SymTensor, n: int) -> int:
     """The order k of t, after checking that t has the layered shape dim = n + k - 1, n >= 0."""
-    _integer(n, "vertex count")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _integer(n, "vertex count", 0)
     k = t.order
     if t.dim != n + k - 1:
         raise ValueError(f"tensor dim {t.dim} does not match n={n}, order {k}")

@@ -16,6 +16,7 @@ from hgtensor import (
     degree,
     dnf_extract,
     dnf_extract_structural,
+    homogenize_step,
     is_k_adjacent,
     layer_coefficients,
     layer_counts_from_tensor,
@@ -128,6 +129,57 @@ CASES = {
     "NaN eigenpair tolerance": (
         lambda: check_eigenpair(TRIANGLE, 2, [1, 1, 1], tol=float("nan")),
         "tolerance must be nonnegative",
+    ),
+    # one bounds rule: each message below comes from the type-and-range check every count shares
+    "zero tensor order": (lambda: SymTensor(0, 2, {}), "tensor order must be at least 1"),
+    "zero edgeless layer tensor order": (
+        lambda: layer_tensor_raw(Hypergraph(3), 0),
+        "tensor order must be at least 1",
+    ),
+    "order checked before dim": (lambda: SymTensor(0, 2.5, {}), "tensor order must be at least 1"),
+    "zero polynomial degree": (lambda: HomogeneousPolynomial(0, 3), "polynomial degree must be at least 1"),
+    "zero max_iter": (lambda: power_iteration(TRIANGLE, max_iter=0), "max_iter must be at least 1"),
+    "zero k_max": (lambda: layer_coefficients("unit", 0), "k_max must be at least 1"),
+    "layer index 0": (lambda: decompose(PATH).layer(0), "layer index 0 out of range [1, 2]"),
+    "negative hypergraph vertex count": (lambda: Hypergraph(-1), "vertex count must be nonnegative"),
+    "hypergraph vertex above n": (
+        lambda: Hypergraph(3, [{1, 4}]),
+        "vertex index 4 out of range [1, 3]",
+    ),
+    "dnf size 0": (lambda: dnf_extract(TRIANGLE, 2, 0), "size 0 out of range [1, 2]"),
+    # the fresh variable is an integer before it is compared with the variable count
+    "float fresh variable": (
+        lambda: homogenize_step(HomogeneousPolynomial(1, 3), HomogeneousPolynomial(2, 3), 1, 4.0),
+        "fresh variable must be an integer, got 4.0",
+    ),
+    "bool fresh variable": (
+        lambda: homogenize_step(HomogeneousPolynomial(1, 0), HomogeneousPolynomial(2, 0), 1, True),
+        "fresh variable must be an integer, got True",
+    ),
+    # a zero entry claims its canonical key too, so every order of the entries is refused
+    "zero then nonzero key": (
+        lambda: SymTensor(2, 3, {(2, 1): 0, (1, 2): 5}),
+        "conflicting entries for canonical key (1, 2)",
+    ),
+    "nonzero then zero key": (
+        lambda: SymTensor(2, 3, {(1, 2): 5, (2, 1): 0}),
+        "conflicting entries for canonical key (1, 2)",
+    ),
+    "two zeros on one key": (
+        lambda: SymTensor(2, 3, {(2, 1): 0, (1, 2): 0}),
+        "conflicting entries for canonical key (1, 2)",
+    ),
+    "zero then nonzero monomial": (
+        lambda: HomogeneousPolynomial(2, 3, {(3, 1): 0, (1, 3): 2}),
+        "conflicting entries for canonical monomial (1, 3)",
+    ),
+    "nonzero then zero monomial": (
+        lambda: HomogeneousPolynomial(2, 3, {(1, 3): 2, (3, 1): 0}),
+        "conflicting entries for canonical monomial (1, 3)",
+    ),
+    "two zeros on one monomial": (
+        lambda: HomogeneousPolynomial(2, 3, {(3, 1): 0, (1, 3): 0}),
+        "conflicting entries for canonical monomial (1, 3)",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),
