@@ -53,13 +53,18 @@ def banerjee_alpha(k_max: int, s: int) -> int:
     """Positions an s-vertex edge occupies in an order-k_max tensor.
 
     That is the number of surjections from k_max slots onto s labels,
-    computed by inclusion-exclusion as sum_j (-1)^j C(s, j) (s - j)^k_max.
+    computed by inclusion-exclusion as sum_j (-1)^j C(s, j) (s - j)^k_max,
+    with the signed binomial c = (-1)^j C(s, j) updated in place.
     """
     _integer(k_max, "k_max")
     _integer(s, "s")
     if not 1 <= s <= k_max:
         raise ValueError(f"need 1 <= s <= k_max, got s={s}, k_max={k_max}")
-    return sum((-1) ** j * math.comb(s, j) * (s - j) ** k_max for j in range(s + 1))
+    total, c = 0, 1
+    for j in range(s):  # the j = s term is 0^k_max = 0
+        total += c * (s - j) ** k_max
+        c = -c * (s - j) // (j + 1)
+    return total
 
 
 def banerjee_tensor(h: Hypergraph) -> SymTensor:

@@ -39,10 +39,9 @@ class HomogeneousPolynomial:
     def __post_init__(self) -> None:
         _integer(self.degree, "polynomial degree", 1)
         _integer(self.var_count, "variable count", 0)
-        coefficients = {key: Fraction(c) for key, c in self.monomials.items()}
         length = f"have degree {self.degree}"
-        canonical = _canonical(coefficients, self.degree, self.var_count, "monomial", length)
-        object.__setattr__(self, "monomials", canonical)
+        canonical = _canonical(self.monomials, self.degree, self.var_count, "monomial", length)
+        object.__setattr__(self, "monomials", {key: Fraction(c) for key, c in canonical.items()})
 
     def evaluate(self, xs: Sequence) -> Fraction:
         """Value at the point xs (exact for rational input)."""

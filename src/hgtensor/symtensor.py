@@ -316,7 +316,8 @@ def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, le
     """Entries under sorted keys, zeros dropped: the rule tensors and polynomials share.
 
     Each key needs ``order`` indices in [1, dim] and a canonical key of its own, a zero
-    entry's included; messages call it ``noun`` and say it must ``length`` ("have 3 indices").
+    entry's included, and each value must be an int (not a bool), a Fraction or a float;
+    messages call the key ``noun`` and say it must ``length`` ("have 3 indices").
     """
     canonical: dict[Key, Value] = {}
     zeros: set[Key] = set()  # canonical keys claimed by dropped zero entries
@@ -330,6 +331,8 @@ def _canonical(entries: Mapping[Key, Value], order: int, dim: int, noun: str, le
         ck = tuple(sorted(key))
         if ck in canonical or ck in zeros:
             raise ValueError(f"conflicting entries for canonical {noun} {ck}")
+        if not isinstance(value, (int, Fraction, float)) or isinstance(value, bool):
+            raise ValueError(f"{noun} {key} has a non-numeric value {value!r}")
         if value != 0:
             canonical[ck] = value
         else:

@@ -110,6 +110,13 @@ class TestAlpha:
             for s in range(1, k + 1):
                 assert banerjee_alpha(k, s) == math.factorial(s) * stirling[k][s]
 
+    def test_one_loop_matches_the_binomial_sum(self):
+        # the in-place signed binomial against the inclusion-exclusion sum it replaced
+        for k in range(1, 40):
+            for s in range(1, k + 1):
+                expected = sum((-1) ** j * math.comb(s, j) * (s - j) ** k for j in range(s + 1))
+                assert banerjee_alpha(k, s) == expected
+
     def test_bounds(self):
         with pytest.raises(ValueError, match="1 <= s <= k_max"):
             banerjee_alpha(3, 0)

@@ -181,6 +181,19 @@ CASES = {
         lambda: HomogeneousPolynomial(2, 3, {(3, 1): 0, (1, 3): 0}),
         "conflicting entries for canonical monomial (1, 3)",
     ),
+    # a value is an int (not a bool), a Fraction or a float, checked before any use of it
+    "string tensor value": (
+        lambda: SymTensor(2, 3, {(1, 2): "x"}),
+        "key (1, 2) has a non-numeric value 'x'",
+    ),
+    "string coefficient": (
+        lambda: HomogeneousPolynomial(1, 2, {(1,): "1/2"}),
+        "monomial (1,) has a non-numeric value '1/2'",
+    ),
+    "None coefficient": (
+        lambda: HomogeneousPolynomial(1, 2, {(1,): None}),
+        "monomial (1,) has a non-numeric value None",
+    ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),
         "original vertex count -1 outside [0, 3]",

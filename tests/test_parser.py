@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgtensor import Hypergraph, parse_hypergraph
-from hgtensor.hypergraph import Edge, _as_edge, _trusted
+from hgtensor import Hypergraph, hypergraph, parse_hypergraph
+from hgtensor.hypergraph import _VERTEX_TABLE, Edge, _as_edge, _trusted
 
 
 def reference_parse(source: str) -> Hypergraph:
@@ -87,9 +87,13 @@ def hg_texts(draw) -> str:
     return draw(st.sampled_from(["", "\ufeff", "# leading comment\n"])) + text
 
 
+TEXTS = hg_texts() | st.text(alphabet=" \t\n\r\x0c\x1c#-+_x01239٣\ufeff", max_size=40)
+PROPERTY = settings(max_examples=600, deadline=None, derandomize=True, database=None)
+
+
 class TestAgainstReference:
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-    @given(hg_texts() | st.text(alphabet=" \t\n\r\x0c\x1c#-+_x01239٣\ufeff", max_size=40))
+    @PROPERTY
+    @given(TEXTS)
     def test_same_hypergraph_or_same_message(self, text):
         assert_same_outcome(text)
 
@@ -128,15 +132,72 @@ class TestAgainstReference:
         assert_same_outcome(text)
 
 
-def test_parse_peak_memory_stays_near_what_the_hypergraph_keeps():
-    # every line's token lists held at once, or a second list of lines, would pass 1.4x
-    p = 50_000
-    text = f"{p}\n" + "".join(f"{i} {i % p + 1}\n" for i in range(1, p + 1))
+class TestAgainstReferenceThroughInt(TestAgainstReference):
+    """The same texts with the vertex table's cap below every vertex count, 0 included.
+
+    ``TestAgainstReference`` reads every text whose header is at most the cap,
+    nearly all of them, through the table; here each one takes the ``int()`` route.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def int_route(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hypergraph, "_VERTEX_TABLE", -1)
+            yield
+
+    # hypothesis runs one property per class, so the subclass states its own
+    @PROPERTY
+    @given(TEXTS)
+    def test_same_hypergraph_or_same_message(self, text):
+        assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("n", [_VERTEX_TABLE, _VERTEX_TABLE + 1], ids=["table", "int"])
+def test_routes_meet_at_the_cap(n):
+    # the cap itself is read through the table, which must still hold vertex n and refuse n + 1
+    text = f"{n}\n1 {_VERTEX_TABLE}\n{_VERTEX_TABLE} {_VERTEX_TABLE + 1}\n"
+    if n == _VERTEX_TABLE:
+        message = f"line 3: vertex index {n + 1} out of range [1, {n}]"
+        assert outcome(parse_hypergraph, text) == message
+    else:
+        edges = (frozenset({1, _VERTEX_TABLE}), frozenset({_VERTEX_TABLE, n}))
+        assert parse_hypergraph(text) == Hypergraph(n, edges)
+    assert_same_outcome(text)
+
+
+def test_table_route_shares_one_int_per_vertex():
+    # past the interpreter's small-int cache, int() would make a new object per token
+    first, second = parse_hypergraph(f"{_VERTEX_TABLE}\n1 300 {_VERTEX_TABLE}\n{_VERTEX_TABLE} 300 2\n").edges
+    for v in (300, _VERTEX_TABLE):
+        [a] = [u for u in first if u == v]
+        [b] = [u for u in second if u == v]
+        assert a is b
+
+
+def peak_over_kept(text: str) -> tuple[Hypergraph, int, int]:
+    """The parsed hypergraph, the bytes it keeps and the parse's peak, as tracemalloc counts them."""
     tracemalloc.start()
     try:
         h = parse_hypergraph(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return h, kept, peak
+
+
+def test_parse_peak_memory_stays_near_what_the_hypergraph_keeps():
+    # every line's token lists held at once, or a second list of lines, would pass 1.4x
+    p = 50_000
+    text = f"{p}\n" + "".join(f"{i} {i % p + 1}\n" for i in range(1, p + 1))
+    h, kept, peak = peak_over_kept(text)
     assert h.p == p
     assert peak <= 1.4 * kept
+
+
+def test_vertex_table_adds_under_a_megabyte_to_the_parse_peak():
+    # the largest table, built for a cycle of 2-edges through every one of its vertices
+    p = _VERTEX_TABLE
+    text = f"{p}\n" + "".join(f"{i} {i % p + 1}\n" for i in range(1, p + 1))
+    h, kept, peak = peak_over_kept(text)
+    assert h.p == p
+    assert peak - kept < 1 << 20

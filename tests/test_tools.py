@@ -158,7 +158,7 @@ def test_bench_pairs_alternates_the_first_side_and_numbers_pairs_on(tmp_path):
 
     def runner(root, workload, seed, seconds):
         calls.append(root.name)
-        return final(requests_per_s=float(len(calls))), f"sha-{root.name}"
+        return final(requests_per_s=float(len(calls))), f"sha-{root.name}", {"eig": float(len(calls))}
 
     out = tmp_path / "bench.json"
     out.write_text('{"about": "kept"}')
@@ -177,3 +177,22 @@ def test_bench_pairs_alternates_the_first_side_and_numbers_pairs_on(tmp_path):
     # the change ran second in pairs 1 and 3, first in pairs 2 and 4, and each later run read higher
     assert book["summary"]["spectral.s1"]["metrics"]["requests_per_s"]["pairs_change_better"] == "2/4"
     assert book["summary"]["spectral.s1"]["pairs"] == 4
+    # each run keeps its kinds' p50s: the parent ran 1st, 4th, 5th and 8th, the change 2nd, 3rd, 6th and 7th
+    assert [r["kind_p50_ms"]["eig"] for r in book["runs"]] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert book["summary"]["spectral.s1"]["kinds"] == {
+        "eig": {"parent_median_p50_ms": 4.5, "change_median_p50_ms": 4.5, "median_change_ratio": 0.0}
+    }
+
+
+def test_bench_pairs_kind_medians_skip_records_without_them():
+    runs = [
+        {"pair": 1, "side": "parent", "final": final()},  # a record from before kind_p50_ms was kept
+        {"pair": 1, "side": "change", "final": final()},
+        {"pair": 2, "side": "parent", "final": final(), "kind_p50_ms": {"poly": 2.0, "bound": 1.0}},
+        {"pair": 2, "side": "change", "final": final(), "kind_p50_ms": {"poly": 1.5}},
+    ]
+    summary = bench_pairs.summarize(runs)
+    assert set(summary["metrics"]) == {m["name"] for m in bench_pairs.benchmark()["end_to_end"]}
+    assert summary["kinds"] == {
+        "poly": {"parent_median_p50_ms": 2.0, "change_median_p50_ms": 1.5, "median_change_ratio": -0.25}
+    }

@@ -9,14 +9,17 @@ pairs run the parent first, even pairs the change first; a second call on
 the same FILE, workload and seed numbers its pairs on from the last one.
 
 After each run one record is appended to FILE's "runs": workload, seed,
-pair, side, first, perfbench's final JSON line as printed ("final") and the
-``source_sha256`` of its detail line.  After each pair ``summary["W.sS"]`` is
-rebuilt from every run in FILE with that workload and seed.  For each end-to-end
+pair, side, first, perfbench's final JSON line as printed ("final"), the
+``source_sha256`` of its detail line and each request kind's ``p50_ms`` from
+that line ("kind_p50_ms").  After each pair ``summary["W.sS"]`` is rebuilt
+from every run in FILE with that workload and seed.  For each end-to-end
 metric in BENCHMARK.json it gives each side's inclusive q1, median and q3,
 the median change ratio, the pairs in which the change was better by the
-metric's direction (ties count for neither), and the parent's IQR; then the
-failed shares seen (failed / attempted) and whether every run was correct.
-Other keys of FILE are kept as they are.
+metric's direction (ties count for neither), and the parent's IQR; for each
+request kind ("kinds"), each side's median of the per-run p50s and their
+change ratio, so a change shows which kinds moved; then the failed shares
+seen (failed / attempted) and whether every run was correct.  Other keys of
+FILE are kept as they are.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ def benchmark() -> dict:
     return json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """(final, source_sha256): one run of perfbench in the checkout root."""
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str, dict]:
+    """(final, source_sha256, kind_p50_ms): one run of perfbench in the checkout root."""
     flags = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(benchmark()["command"] + flags, cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     detail = json.loads(next(line for line in lines if line.startswith("detail "))[len("detail ") :])
-    return json.loads(lines[-1]), detail["environment"]["source_sha256"]
+    p50s = {kind: latency["p50_ms"] for kind, latency in detail["kinds"].items()}
+    return json.loads(lines[-1]), detail["environment"]["source_sha256"], p50s
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -68,10 +72,23 @@ def summarize(runs: list[dict]) -> dict:
             "pairs_change_better": f"{better}/{len(pairs)}",
             "parent_iqr": parent[2] - parent[0],
         }
+    p50s = {"parent": {}, "change": {}}
+    for run in runs:  # records written before kind_p50_ms was kept have none
+        for kind, ms in run.get("kind_p50_ms", {}).items():
+            p50s[run["side"]].setdefault(kind, []).append(ms)
+    kinds = {}
+    for kind in sorted(p50s["parent"].keys() & p50s["change"].keys()):
+        parent, change = statistics.median(p50s["parent"][kind]), statistics.median(p50s["change"][kind])
+        kinds[kind] = {
+            "parent_median_p50_ms": parent,
+            "change_median_p50_ms": change,
+            "median_change_ratio": (change - parent) / parent if parent else None,
+        }
     finals = [run["final"] for run in runs]
     return {
         "pairs": len(pairs),
         "metrics": metrics,
+        "kinds": kinds,
         "failed_ratio_seen": sorted({f["failed"] / f["attempted"] for f in finals if f["attempted"]}),
         "all_correct": all(f["correct"] for f in finals),
     }
@@ -95,9 +112,9 @@ def main(argv=None, runner=run_perfbench) -> int:
     for pair in range(start, start + args.pairs):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
         for side in order:
-            final, sha = runner(getattr(args, side), args.workload, args.seed, args.seconds)
+            final, sha, p50s = runner(getattr(args, side), args.workload, args.seed, args.seconds)
             record = {"workload": args.workload, "seed": args.seed, "pair": pair, "side": side}
-            record.update(first=side == order[0], final=final, source_sha256=sha)
+            record.update(first=side == order[0], final=final, source_sha256=sha, kind_p50_ms=p50s)
             runs.append(record)
             mine.append(record)
             if side == order[1]:  # each side has run at least once
