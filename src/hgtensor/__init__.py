@@ -15,18 +15,8 @@ from .banerjee import (
     compare_tensors,
     partitions_count,
 )
-from .hypergraph import (
-    Hypergraph,
-    WeightedHypergraph,
-    adjacency_matrix_bretto,
-    degree,
-    degrees,
-    is_e_adjacent,
-    is_k_adjacent,
-    parse_hypergraph,
-    two_section,
-)
-from .layers import LayerDecomposition, decompose, direct_sum
+from .hypergraph import Hypergraph, WeightedHypergraph, degrees, parse_hypergraph
+from .layers import LayerDecomposition, decompose
 from .polynomials import (
     HomogeneousPolynomial,
     dnf_extract,
@@ -82,15 +72,12 @@ __all__ = [
     "LayeredUniform",
     "SymTensor",
     "WeightedHypergraph",
-    "adjacency_matrix_bretto",
     "banerjee_alpha",
     "banerjee_tensor",
     "check_eigenpair",
     "compare_tensors",
     "decompose",
-    "degree",
     "degrees",
-    "direct_sum",
     "dnf_extract",
     "dnf_extract_structural",
     "e_adjacency_tensor",
@@ -99,8 +86,6 @@ __all__ = [
     "graph_consistency_check",
     "homogenize_step",
     "hypergraph_polynomial",
-    "is_e_adjacent",
-    "is_k_adjacent",
     "layer_coefficients",
     "layer_counts_from_tensor",
     "layer_tensor_degree_normalized",
@@ -117,7 +102,6 @@ __all__ = [
     "spectral_bound",
     "tensor_from_layered_uniform",
     "tensor_from_poly",
-    "two_section",
     "vertex_augment",
     "vertex_degrees_from_tensor",
 ]

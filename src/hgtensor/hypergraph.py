@@ -1,14 +1,14 @@
-"""General hypergraphs: construction, parsing, and classical matrix views."""
+"""General hypergraphs: construction, parsing and vertex degrees."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, islice, repeat, tee
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from typing import IO, Iterable
 
 Edge = frozenset[int]
-Matrix = list[list[Fraction]]
 
 
 def _integer(value: int, what: str, low: int | None = None, high: int | None = None) -> None:
@@ -23,6 +23,15 @@ def _integer(value: int, what: str, low: int | None = None, high: int | None = N
         raise ValueError(f"{what} {value} out of range [{low}, {high}]")
     if low is not None and value < low:
         raise ValueError(f"{what} must be nonnegative" if low == 0 else f"{what} must be at least {low}")
+
+
+def _rational(value, what: str) -> Fraction:
+    """The value as a Fraction; refuse one that is not an int (a bool is not one), a Fraction or a finite float."""
+    if not isinstance(value, (int, Fraction, float)) or isinstance(value, bool) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return Fraction(value)
 
 
 def _as_edge(vertices: Iterable[int], n: int) -> Edge:
@@ -78,7 +87,7 @@ class WeightedHypergraph:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(_rational(w, "edge weight") for w in self.weights)
         if len(weights) != self.base.p:
             raise ValueError("need exactly one weight per hyperedge")
         if any(w <= 0 for w in weights):
@@ -173,12 +182,6 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     return _trusted(Hypergraph, n, tuple(edges))
 
 
-def degree(h: Hypergraph, v: int) -> int:
-    """Number of hyperedges containing vertex v, checked as an edge's vertices are."""
-    _as_edge((v,), h.n)
-    return sum(1 for e in h.edges if v in e)
-
-
 def degrees(h: Hypergraph) -> tuple[int, ...]:
     """Every vertex degree, counted in one pass over the edges."""
     counts = [0] * h.n
@@ -188,45 +191,9 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _vertex_set(h: Hypergraph, vertices: Iterable[int]) -> Edge:
-    """The given vertices as a set, checked nonempty and then as an edge is."""
-    s = frozenset(vertices)
-    if not s:
-        raise ValueError("vertex set must be nonempty")
-    return _as_edge(s, h.n)
-
-
 def _uniform_size(h: Hypergraph) -> int | None:
     """The one edge size of a uniform hypergraph; None when it has no edges."""
     sizes = {len(e) for e in h.edges}
     if len(sizes) > 1:
         raise ValueError("hypergraph is not uniform")
     return sizes.pop() if sizes else None
-
-
-def adjacency_matrix_bretto(h: Hypergraph) -> Matrix:
-    """Symmetric n x n matrix counting shared edges; zero diagonal."""
-    a = [[Fraction(0)] * h.n for _ in range(h.n)]
-    for e in h.edges:
-        for u, v in combinations(e, 2):
-            a[u - 1][v - 1] += 1
-            a[v - 1][u - 1] += 1
-    return a
-
-
-def two_section(h: Hypergraph) -> Hypergraph:
-    """Graph on the same vertices joining every pair co-resident in some edge."""
-    pairs = {frozenset(pair) for e in h.edges for pair in combinations(e, 2)}
-    ordered = sorted(pairs, key=sorted)
-    return _trusted(Hypergraph, h.n, tuple(ordered))
-
-
-def is_k_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
-    """True when the given distinct vertices all lie together in some edge."""
-    s = _vertex_set(h, vertices)
-    return any(s <= e for e in h.edges)
-
-
-def is_e_adjacent(h: Hypergraph, vertices: Iterable[int]) -> bool:
-    """True when the given vertex set is exactly one of the hyperedges."""
-    return _vertex_set(h, vertices) in h.edges

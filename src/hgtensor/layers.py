@@ -1,9 +1,8 @@
-"""Cardinality layers: split a hypergraph into uniform slices and rebuild it."""
+"""Cardinality layers: split a hypergraph into uniform slices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .hypergraph import Hypergraph, _integer, _trusted
 
@@ -14,7 +13,7 @@ class LayerDecomposition:
 
     ``layers[k - 1]`` keeps the full vertex set and exactly the edges of
     cardinality k (possibly none), so every layer is k-uniform by
-    construction and the direct sum of all layers restores the original.
+    construction and each edge of the original lies in exactly one layer.
     """
 
     base: Hypergraph
@@ -36,22 +35,3 @@ def decompose(h: Hypergraph) -> LayerDecomposition:
         grouped[len(e) - 1].append(e)
     layers = tuple(_trusted(Hypergraph, h.n, tuple(g)) for g in grouped)
     return LayerDecomposition(h, k_max, layers)
-
-
-def direct_sum(parts: Sequence[Hypergraph]) -> Hypergraph:
-    """Union of edge families over a common vertex set.
-
-    The parts must share the vertex count and have pairwise disjoint edge
-    families; edge order is concatenation order.
-    """
-    if not parts:
-        raise ValueError("direct sum needs at least one hypergraph")
-    n = parts[0].n
-    if any(part.n != n for part in parts):
-        raise ValueError("direct sum requires a common vertex count")
-    edges: list = []
-    for part in parts:
-        edges.extend(part.edges)
-    if len(set(edges)) != len(edges):
-        raise ValueError("edge families must be pairwise disjoint")
-    return _trusted(Hypergraph, n, tuple(edges))

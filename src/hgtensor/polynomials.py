@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add
-from typing import Sequence
 
-from .hypergraph import Hypergraph, _integer, _trusted
+from .hypergraph import Hypergraph, _integer, _rational, _trusted
 from .layers import decompose
 from .symtensor import SymTensor, _canonical, multiplicity_weight
 from .uniformize import CoefficientPolicy, _layered_order, _padding_suffixes, layer_coefficients, reconstruct
@@ -41,19 +40,8 @@ class HomogeneousPolynomial:
         _integer(self.var_count, "variable count", 0)
         length = f"have degree {self.degree}"
         canonical = _canonical(self.monomials, self.degree, self.var_count, "monomial", length)
-        object.__setattr__(self, "monomials", {key: Fraction(c) for key, c in canonical.items()})
-
-    def evaluate(self, xs: Sequence) -> Fraction:
-        """Value at the point xs (exact for rational input)."""
-        if len(xs) != self.var_count:
-            raise ValueError(f"need {self.var_count} values, got {len(xs)}")
-        total = Fraction(0)
-        for key in sorted(self.monomials):
-            term = self.monomials[key]
-            for i in key:
-                term = term * xs[i - 1]
-            total = total + term
-        return total
+        monomials = {key: _rational(c, f"monomial {key} coefficient") for key, c in canonical.items()}
+        object.__setattr__(self, "monomials", monomials)
 
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
@@ -98,7 +86,7 @@ def homogenize_step(
         )
     if p_next.var_count > r.var_count:
         raise ValueError("p_next may only use variables that already exist")
-    c_next = Fraction(c_next)
+    c_next = _rational(c_next, "layer coefficient")
     if c_next <= 0:
         raise ValueError("layer coefficient must be positive")
     monomials = {key + (y_index,): c for key, c in r.monomials.items()}

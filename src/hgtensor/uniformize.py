@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import eq, getitem
 from typing import Iterable, Sequence
 
-from .hypergraph import Hypergraph, WeightedHypergraph, _integer, _trusted, _uniform_size
+from .hypergraph import Hypergraph, WeightedHypergraph, _integer, _rational, _trusted, _uniform_size
 from .layers import decompose
 from .symtensor import SymTensor, _quotient, _slice_numerators, _total
 
@@ -41,7 +41,7 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
         if policy == "handshake":
             return tuple(Fraction(k_max, k) for k in range(1, k_max + 1))
         raise ValueError(f"unknown coefficient policy {policy!r}")
-    coefficients = tuple(Fraction(c) for c in policy)
+    coefficients = tuple(_rational(c, "layer coefficient") for c in policy)
     if len(coefficients) != k_max:
         raise ValueError(f"need {k_max} coefficients, got {len(coefficients)}")
     if any(c <= 0 for c in coefficients):
@@ -54,6 +54,7 @@ def vertex_augment(hw: WeightedHypergraph, y: int) -> WeightedHypergraph:
 
     A k-uniform weighted hypergraph becomes (k+1)-uniform; weights are kept.
     """
+    _integer(y, "fresh vertex")
     _uniform_size(hw.base)
     n = hw.base.n
     if y <= n:

@@ -1,10 +1,12 @@
 """Test inputs the package does not build: Zhou's matrix and two diagonal shifts.
 
 Zhou's weighted adjacency matrix is kept beside the tests as a cross-check.
-H W H^T - D_v is built from the incidence matrix by an actual matrix product,
-so it checks the package's direct counting (``adjacency_matrix_bretto``)
-rather than repeating it.  The product is O(n^2 * p) in ``Fraction``s, which
-is why it serves the tests and is not part of the package.
+At unit weights it is Bretto's matrix, whose upper triangle is the raw 2-layer
+tensor that ``graph_consistency_check`` reads.  H W H^T - D_v is built from the
+incidence matrix by an actual matrix product, so it checks the package's direct
+counting (``layer_tensor_raw``) rather than repeating it.  The product is
+O(n^2 * p) in ``Fraction``s, which is why it serves the tests and is not part
+of the package.
 
 ``scale_add_identity`` and ``laplacian`` add diagonal keys, which repeat an
 index, and ``laplacian`` negates every value: inputs that the paper's tensors

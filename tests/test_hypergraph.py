@@ -5,17 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hgtensor import (
-    Hypergraph,
-    WeightedHypergraph,
-    adjacency_matrix_bretto,
-    degree,
-    degrees,
-    is_e_adjacent,
-    is_k_adjacent,
-    parse_hypergraph,
-    two_section,
-)
+from hgtensor import Hypergraph, WeightedHypergraph, degrees, parse_hypergraph
 
 from conftest import SAMPLE_TEXT, random_hypergraph
 from matrices import adjacency_matrix_zhou, incidence_matrix, unit_weights
@@ -109,20 +99,15 @@ class TestConstruction:
 class TestDegrees:
     def test_sample_degrees(self, sample):
         assert degrees(sample) == (2, 2, 2, 3, 1, 1, 3)
-        assert degree(sample, 4) == 3
 
     def test_isolated_vertex(self):
-        assert degree(Hypergraph(3, (frozenset({1}),)), 2) == 0
-
-    def test_bad_vertex(self, sample):
-        with pytest.raises(ValueError, match="out of range"):
-            degree(sample, 8)
+        assert degrees(Hypergraph(3, (frozenset({1}),))) == (1, 0, 0)
 
     def test_one_pass_matches_per_vertex_degree(self):
         rng = random.Random(112)
         for _ in range(50):
             h = random_hypergraph(rng)
-            assert degrees(h) == tuple(degree(h, v) for v in range(1, h.n + 1))
+            assert degrees(h) == tuple(sum(v in e for e in h.edges) for v in range(1, h.n + 1))
 
 
 class TestMatrices:
@@ -137,13 +122,13 @@ class TestMatrices:
         for _ in range(30):
             h = random_hypergraph(rng)
             inc = incidence_matrix(h)
-            for v in range(h.n):
-                assert sum(inc[v]) == degree(h, v + 1)
+            assert tuple(map(sum, inc)) == degrees(h)
             for j, e in enumerate(h.edges):
                 assert sum(inc[v][j] for v in range(h.n)) == len(e)
 
     def test_bretto_counts_shared_edges(self, sample):
-        a = adjacency_matrix_bretto(sample)
+        # Zhou's matrix at unit weights is Bretto's: the count of edges two vertices share
+        a = adjacency_matrix_zhou(unit_weights(sample))
         assert a[0][1] == 2
         assert a[3][6] == 1
         assert all(a[v][v] == 0 for v in range(7))
@@ -155,59 +140,3 @@ class TestMatrices:
             [Fraction(0), Fraction(1, 2)],
             [Fraction(1, 2), Fraction(0)],
         ]
-
-    def test_zhou_equals_bretto_at_unit_weights(self):
-        rng = random.Random(102)
-        for _ in range(30):
-            h = random_hypergraph(rng)
-            assert adjacency_matrix_zhou(unit_weights(h)) == adjacency_matrix_bretto(h)
-
-
-class TestSections:
-    def test_sample_two_section(self, sample):
-        expected = {
-            frozenset(p)
-            for p in ((1, 2), (1, 3), (2, 3), (1, 7), (2, 7), (6, 7), (3, 4), (4, 7))
-        }
-        g = two_section(sample)
-        assert set(g.edges) == expected
-        assert g.n == 7
-
-    def test_singletons_vanish(self):
-        assert two_section(Hypergraph(3, (frozenset({1}), frozenset({2}),))).p == 0
-
-    def test_two_section_matches_pair_adjacency(self):
-        rng = random.Random(103)
-        for _ in range(25):
-            h = random_hypergraph(rng)
-            g = two_section(h)
-            pairs = set(g.edges)
-            for u in range(1, h.n + 1):
-                for v in range(u + 1, h.n + 1):
-                    assert (frozenset({u, v}) in pairs) == is_k_adjacent(h, {u, v})
-
-
-class TestAdjacency:
-    def test_k_adjacent_on_sample(self, sample):
-        assert is_k_adjacent(sample, {1, 2, 3})
-        assert is_k_adjacent(sample, {1, 2})
-        assert not is_k_adjacent(sample, {3, 7})
-
-    def test_subsets_of_edges_stay_adjacent(self):
-        rng = random.Random(104)
-        for _ in range(25):
-            h = random_hypergraph(rng)
-            e = rng.choice(h.edges)
-            size = rng.randint(1, len(e))
-            assert is_k_adjacent(h, rng.sample(sorted(e), size))
-
-    def test_e_adjacent_is_exact_membership(self, sample):
-        assert is_e_adjacent(sample, {1, 2, 3})
-        assert not is_e_adjacent(sample, {1, 2})
-        assert not is_e_adjacent(sample, {3, 4, 7})
-
-    def test_validation(self, sample):
-        with pytest.raises(ValueError, match="nonempty"):
-            is_k_adjacent(sample, set())
-        with pytest.raises(ValueError, match="out of range"):
-            is_e_adjacent(sample, {8})

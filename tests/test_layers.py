@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hgtensor import Hypergraph, decompose, direct_sum
+from hgtensor import Hypergraph, decompose
 
 from conftest import random_hypergraph
 
@@ -43,23 +43,9 @@ def test_decompose_rejects_edgeless():
         decompose(Hypergraph(3))
 
 
-def test_direct_sum_restores_the_original():
+def test_layers_hold_each_edge_once_in_the_layer_of_its_size():
     rng = random.Random(202)
     for _ in range(30):
         h = random_hypergraph(rng)
-        rebuilt = direct_sum(decompose(h).layers)
-        assert rebuilt.n == h.n
-        assert set(rebuilt.edges) == set(h.edges)
-
-
-def test_direct_sum_of_one_part(sample):
-    assert direct_sum([sample]) == sample
-
-
-def test_direct_sum_validation(sample):
-    with pytest.raises(ValueError, match="at least one"):
-        direct_sum([])
-    with pytest.raises(ValueError, match="common vertex count"):
-        direct_sum([sample, Hypergraph(3, (frozenset({1}),))])
-    with pytest.raises(ValueError, match="disjoint"):
-        direct_sum([sample, Hypergraph(7, (frozenset({4}),))])
+        placed = [(k, e) for k, layer in enumerate(decompose(h).layers, start=1) for e in layer.edges]
+        assert len(placed) == h.p and set(placed) == {(len(e), e) for e in h.edges}

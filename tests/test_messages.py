@@ -10,20 +10,20 @@ from hgtensor import (
     HomogeneousPolynomial,
     Hypergraph,
     SymTensor,
+    WeightedHypergraph,
     banerjee_alpha,
     check_eigenpair,
     decompose,
-    degree,
     dnf_extract,
     dnf_extract_structural,
     homogenize_step,
-    is_k_adjacent,
     layer_coefficients,
     layer_counts_from_tensor,
     layer_tensor_raw,
     partitions_count,
     power_iteration,
     reconstruct,
+    vertex_augment,
     vertex_degrees_from_tensor,
 )
 
@@ -33,11 +33,9 @@ PATH = Hypergraph(3, [{1, 2}, {2, 3}])
 CASES = {
     "float vertex": (lambda: Hypergraph(3, ((1.5,),)), "vertex index must be an integer, got 1.5"),
     "bool vertex": (lambda: Hypergraph(3, ((True,),)), "vertex index must be an integer, got True"),
-    # positions and vertex sets are checked as keys and edges are
+    # positions are checked as keys are
     "float position": (lambda: TRIANGLE.get((1.0, 2)), "index (1.0, 2) has a non-integer index"),
     "bool position": (lambda: TRIANGLE.get((True, 2)), "index (True, 2) has a non-integer index"),
-    "bool degree vertex": (lambda: degree(PATH, True), "vertex index must be an integer, got True"),
-    "float adjacency vertex": (lambda: is_k_adjacent(PATH, [1.5]), "vertex index must be an integer, got 1.5"),
     "negative variable count": (
         lambda: HomogeneousPolynomial(2, -1),
         "variable count must be nonnegative",
@@ -193,6 +191,40 @@ CASES = {
     "None coefficient": (
         lambda: HomogeneousPolynomial(1, 2, {(1,): None}),
         "monomial (1,) has a non-numeric value None",
+    ),
+    # a rational input is an int (not a bool), a Fraction or a finite float before it is exact
+    "infinite coefficient": (
+        lambda: HomogeneousPolynomial(1, 1, {(1,): float("inf")}),
+        "monomial (1,) coefficient must be a finite number, got inf",
+    ),
+    "NaN coefficient": (
+        lambda: HomogeneousPolynomial(2, 3, {(3, 1): float("nan")}),
+        "monomial (1, 3) coefficient must be a finite number, got nan",
+    ),
+    "string edge weight": (
+        lambda: WeightedHypergraph(PATH, (1, "x")),
+        "edge weight must be a finite number, got 'x'",
+    ),
+    "bool edge weight": (
+        lambda: WeightedHypergraph(PATH, (True, 1)),
+        "edge weight must be a finite number, got True",
+    ),
+    "infinite layer coefficient": (
+        lambda: layer_coefficients([1, float("-inf")], 2),
+        "layer coefficient must be a finite number, got -inf",
+    ),
+    "NaN homogenization coefficient": (
+        lambda: homogenize_step(HomogeneousPolynomial(1, 3), HomogeneousPolynomial(2, 3), float("nan"), 4),
+        "layer coefficient must be a finite number, got nan",
+    ),
+    # the augmenting vertex is an integer before it is compared with the vertex count
+    "string augmenting vertex": (
+        lambda: vertex_augment(WeightedHypergraph(PATH, (1, 1)), "4"),
+        "fresh vertex must be an integer, got '4'",
+    ),
+    "bool augmenting vertex on an edgeless base": (
+        lambda: vertex_augment(WeightedHypergraph(Hypergraph(0), ()), True),
+        "fresh vertex must be an integer, got True",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),

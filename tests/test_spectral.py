@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hgtensor import (
     Hypergraph,
     SymTensor,
-    adjacency_matrix_bretto,
     check_eigenpair,
     e_adjacency_tensor,
     gershgorin_disks,
@@ -26,7 +25,7 @@ from hgtensor import (
 from hgtensor.spectral import _slice_masses
 
 from conftest import random_hypergraph, random_uniform_hypergraph
-from matrices import laplacian, scale_add_identity
+from matrices import adjacency_matrix_zhou, laplacian, scale_add_identity, unit_weights
 
 K3 = "3\n1 2\n2 3\n1 3\n"
 
@@ -339,11 +338,12 @@ class TestGraphCase:
             assert report.block_ok and report.zero_eigenpair_ok
 
     def test_raw_layer_is_the_upper_triangle_of_the_bretto_matrix(self):
-        # graph_consistency_check takes the matrix view A from layer_tensor_raw
+        # graph_consistency_check takes the matrix view A from layer_tensor_raw;
+        # Zhou's matrix at unit weights is Bretto's
         rng = random.Random(705)
         for _ in range(40):
             g = random_uniform_hypergraph(rng, k=2, max_n=12, max_edges=20)
-            a = adjacency_matrix_bretto(g)
+            a = adjacency_matrix_zhou(unit_weights(g))
             upper = {
                 (u, v): a[u - 1][v - 1]
                 for u in range(1, g.n + 1)

@@ -26,7 +26,6 @@ from hgtensor import (
     Hypergraph,
     banerjee_tensor,
     decompose,
-    direct_sum,
     dnf_extract,
     e_adjacency_tensor,
     graph_consistency_check,
@@ -40,7 +39,6 @@ from hgtensor import (
     poly_from_tensor,
     reconstruct,
     tensor_from_poly,
-    two_section,
     vertex_degrees_from_tensor,
 )
 
@@ -85,7 +83,7 @@ class TestTrustedBuilders:
         assert parsed == h
         layers = decompose(h).layers
         padded = layered_uniform(h).uniform.base  # every layer padded with its suffix, unchecked
-        results = [parsed, *layers, direct_sum(layers), two_section(h), padded]
+        results = [parsed, *layers, padded]
         results.append(reconstruct(e_adjacency_tensor(h), h.n))
         for g in results:
             assert_validated_equal(g)

@@ -21,7 +21,7 @@ from hgtensor import (
 )
 
 from conftest import random_hypergraph
-from matrices import unit_weights
+from matrices import adjacency_matrix_zhou, unit_weights
 
 
 def weight_map(hw: WeightedHypergraph) -> dict[frozenset[int], Fraction]:
@@ -165,6 +165,16 @@ class TestEAdjacencyTensor:
     def test_rejects_edgeless(self):
         with pytest.raises(ValueError, match="no edges"):
             e_adjacency_tensor(Hypergraph(3))
+
+    def test_separates_what_2_adjacency_merges(self):
+        # the paper's point: a triangle and one 3-edge share every pair, so their
+        # unit-weight matrices agree, but only the 3-edge makes {1, 2, 3} e-adjacent
+        triangle = Hypergraph(3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})))
+        edge = Hypergraph(3, (frozenset({1, 2, 3}),))
+        assert adjacency_matrix_zhou(unit_weights(triangle)) == adjacency_matrix_zhou(unit_weights(edge))
+        t, u = e_adjacency_tensor(triangle), e_adjacency_tensor(edge)
+        assert (t.order, set(t.entries)) == (2, {(1, 2), (2, 3), (1, 3)})
+        assert (u.order, set(u.entries)) == (3, {(1, 2, 3)})
 
     def test_total_counts_each_edge_k_max_times(self):
         rng = random.Random(402)
