@@ -95,6 +95,11 @@ class TestConstruction:
         hw = unit_weights(sample)
         assert hw.weights == (Fraction(1),) * 7
 
+    def test_weights_are_exact_from_int_fraction_and_finite_float(self):
+        path = Hypergraph(3, (frozenset({1, 2}), frozenset({2, 3})))
+        assert WeightedHypergraph(path, (2, 0.25)).weights == (Fraction(2), Fraction(1, 4))
+        assert WeightedHypergraph(path, (Fraction(1, 3), 1e-3)).weights == (Fraction(1, 3), Fraction(1e-3))
+
 
 class TestDegrees:
     def test_sample_degrees(self, sample):
@@ -140,3 +145,14 @@ class TestMatrices:
             [Fraction(0), Fraction(1, 2)],
             [Fraction(1, 2), Fraction(0)],
         ]
+
+    def test_zhou_equals_bretto_at_unit_weights(self):
+        # Bretto's matrix counts the edges two distinct vertices share
+        rng = random.Random(102)
+        for _ in range(30):
+            h = random_hypergraph(rng)
+            a = adjacency_matrix_zhou(unit_weights(h))
+            assert a == [
+                [(u != v) * sum(u in e and v in e for e in h.edges) for v in range(1, h.n + 1)]
+                for u in range(1, h.n + 1)
+            ]

@@ -209,9 +209,25 @@ CASES = {
         lambda: WeightedHypergraph(PATH, (True, 1)),
         "edge weight must be a finite number, got True",
     ),
+    "infinite edge weight": (
+        lambda: WeightedHypergraph(PATH, (1, float("inf"))),
+        "edge weight must be a finite number, got inf",
+    ),
     "infinite layer coefficient": (
         lambda: layer_coefficients([1, float("-inf")], 2),
         "layer coefficient must be a finite number, got -inf",
+    ),
+    "string layer coefficient": (
+        lambda: layer_coefficients([1, "2"], 2),
+        "layer coefficient must be a finite number, got '2'",
+    ),
+    "bool layer coefficient": (
+        lambda: layer_coefficients([True, 1], 2),
+        "layer coefficient must be a finite number, got True",
+    ),
+    "string homogenization coefficient": (
+        lambda: homogenize_step(HomogeneousPolynomial(1, 3), HomogeneousPolynomial(2, 3), "1/2", 4),
+        "layer coefficient must be a finite number, got '1/2'",
     ),
     "NaN homogenization coefficient": (
         lambda: homogenize_step(HomogeneousPolynomial(1, 3), HomogeneousPolynomial(2, 3), float("nan"), 4),
