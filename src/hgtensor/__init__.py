@@ -16,7 +16,6 @@ from .banerjee import (
     partitions_count,
 )
 from .hypergraph import Hypergraph, WeightedHypergraph, degrees, parse_hypergraph
-from .layers import LayerDecomposition, decompose
 from .polynomials import (
     HomogeneousPolynomial,
     dnf_extract,
@@ -37,19 +36,16 @@ from .spectral import (
     power_iteration,
     spectral_bound,
 )
-from .symtensor import (
-    SymTensor,
-    format_value,
-    layer_tensor_degree_normalized,
-    layer_tensor_eigen_normalized,
-    layer_tensor_raw,
-    multiplicity_weight,
-)
+from .symtensor import SymTensor, format_value, multiplicity_weight
 from .uniformize import (
     LayeredUniform,
+    decompose,
     e_adjacency_tensor,
     layer_coefficients,
     layer_counts_from_tensor,
+    layer_tensor_degree_normalized,
+    layer_tensor_eigen_normalized,
+    layer_tensor_raw,
     layered_uniform,
     merge,
     reconstruct,
@@ -68,7 +64,6 @@ __all__ = [
     "GraphCaseReport",
     "HomogeneousPolynomial",
     "Hypergraph",
-    "LayerDecomposition",
     "LayeredUniform",
     "SymTensor",
     "WeightedHypergraph",

@@ -15,20 +15,17 @@ import os
 import sys
 
 from .banerjee import banerjee_alpha, banerjee_tensor, compare_tensors, partitions_count
-from .hypergraph import Hypergraph, parse_hypergraph
-from .layers import decompose
+from .hypergraph import Hypergraph, _integer, parse_hypergraph
 from .polynomials import dnf_extract, hypergraph_polynomial
 from .spectral import _slice_masses, graph_consistency_check, power_iteration
-from .symtensor import (
-    _decimal,
-    format_value,
+from .symtensor import _decimal, format_value
+from .uniformize import (
+    decompose,
+    e_adjacency_tensor,
+    layer_counts_from_tensor,
     layer_tensor_degree_normalized,
     layer_tensor_eigen_normalized,
     layer_tensor_raw,
-)
-from .uniformize import (
-    e_adjacency_tensor,
-    layer_counts_from_tensor,
     reconstruct,
     vertex_degrees_from_tensor,
 )
@@ -79,13 +76,12 @@ def _report(pairs) -> None:
 def _cmd_info(h: Hypergraph, args) -> None:
     pairs = [("n", h.n), ("edges", h.p), ("k_max", h.k_max)]
     if h.p:
-        dec = decompose(h)
-        pairs += [(f"size_{k}", dec.layer(k).p) for k in range(1, dec.k_max + 1)]
+        pairs += [(f"size_{k}", layer.p) for k, layer in enumerate(decompose(h), start=1)]
     _report(pairs)
 
 
 def _cmd_layers(h: Hypergraph, args) -> None:
-    for k, layer in enumerate(decompose(h).layers, start=1):
+    for k, layer in enumerate(decompose(h), start=1):
         print(f"layer {k}: {layer.p} {'edge' if layer.p == 1 else 'edges'}")
         _write_lines("  " + line for line in _edge_lines(sorted(e) for e in layer.edges))
 
@@ -94,13 +90,14 @@ def _cmd_tensor(h: Hypergraph, args) -> None:
     if args.layer is not None:
         if args.model is not None:
             raise _UsageError("--layer and --model are mutually exclusive")
-        dec = decompose(h)
+        layers = decompose(h)
+        _integer(args.layer, "layer index", 1, len(layers))
         builder = {
             "raw": layer_tensor_raw,
             "degree": layer_tensor_degree_normalized,
             "eigen": layer_tensor_eigen_normalized,
         }[args.normalization or "degree"]
-        t = builder(dec.layer(args.layer), args.layer)
+        t = builder(layers[args.layer - 1], args.layer)
     elif args.normalization is not None:
         raise _UsageError("--normalization needs --layer")
     else:

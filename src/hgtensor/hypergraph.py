@@ -87,6 +87,8 @@ class WeightedHypergraph:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, (list, tuple)):
+            raise ValueError(f"edge weights must be a list or tuple, got {self.weights!r}")
         weights = tuple(_rational(w, "edge weight") for w in self.weights)
         if len(weights) != self.base.p:
             raise ValueError("need exactly one weight per hyperedge")
@@ -189,11 +191,3 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
         for v in e:
             counts[v - 1] += 1
     return tuple(counts)
-
-
-def _uniform_size(h: Hypergraph) -> int | None:
-    """The one edge size of a uniform hypergraph; None when it has no edges."""
-    sizes = {len(e) for e in h.edges}
-    if len(sizes) > 1:
-        raise ValueError("hypergraph is not uniform")
-    return sizes.pop() if sizes else None

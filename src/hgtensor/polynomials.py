@@ -15,9 +15,15 @@ from itertools import repeat
 from operator import add
 
 from .hypergraph import Hypergraph, _integer, _rational, _trusted
-from .layers import decompose
 from .symtensor import SymTensor, _canonical, multiplicity_weight
-from .uniformize import CoefficientPolicy, _layered_order, _padding_suffixes, layer_coefficients, reconstruct
+from .uniformize import (
+    CoefficientPolicy,
+    _layered_order,
+    _padding_suffixes,
+    decompose,
+    layer_coefficients,
+    reconstruct,
+)
 
 Monomial = tuple[int, ...]
 
@@ -45,8 +51,8 @@ class HomogeneousPolynomial:
 
 
 def poly_from_tensor(t: SymTensor) -> HomogeneousPolynomial:
-    """The polynomial whose coefficient on each key is value * orbit size."""
-    monomials = {key: Fraction(v * multiplicity_weight(key)) for key, v in t.entries.items()}
+    """The polynomial whose coefficient on each key is value * orbit size, multiplied exactly."""
+    monomials = {key: _rational(v, f"key {key} value") * multiplicity_weight(key) for key, v in t.entries.items()}
     return _trusted(HomogeneousPolynomial, t.order, t.dim, monomials)
 
 
@@ -105,15 +111,16 @@ def hypergraph_polynomial(
     Every monomial of P_s has distinct variables and coefficient s!/(s-1)! = s, so layer s adds
     its sorted edges, each followed by the suffix, with the one coefficient c_s * s.
     """
-    dec = decompose(h)
-    sizes = (s for s, layer in enumerate(dec.layers, start=1) if layer.edges)
-    suffixes = _padding_suffixes(h.n, dec.k_max, sizes)
+    layers = decompose(h)
+    k = len(layers)
+    sizes = (s for s, layer in enumerate(layers, start=1) if layer.edges)
+    suffixes = _padding_suffixes(h.n, k, sizes)
     monomials: dict[Monomial, Fraction] = {}
-    for s, (c, layer) in enumerate(zip(layer_coefficients(policy, dec.k_max), dec.layers), start=1):
+    for s, (c, layer) in enumerate(zip(layer_coefficients(policy, k), layers), start=1):
         if layer.edges:  # an empty layer adds nothing and has no suffix
             keys = map(add, map(tuple, map(sorted, layer.edges)), repeat(suffixes[s]))
             monomials.update(zip(keys, repeat(c * s)))
-    return _trusted(HomogeneousPolynomial, dec.k_max, h.n + dec.k_max - 1, monomials)
+    return _trusted(HomogeneousPolynomial, k, h.n + k - 1, monomials)
 
 
 def _dnf_order(t: SymTensor, n: int, size: int) -> int:

@@ -11,9 +11,8 @@ from operator import eq, itemgetter
 from typing import Sequence
 
 from .hypergraph import Hypergraph, _integer
-from .symtensor import SymTensor, _exact_sums, _float_fold, _float_plan, _rational, _slice_list, _value_objects
-from .symtensor import layer_tensor_raw
-from .uniformize import e_adjacency_tensor
+from .symtensor import SymTensor, _all_exact, _exact_sums, _float_fold, _float_plan, _slice_list, _value_objects
+from .uniformize import e_adjacency_tensor, layer_tensor_raw
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ def check_eigenpair(t: SymTensor, value, x: Sequence, tol=0) -> EigenCheck:
         raise ValueError("tolerance must be nonnegative")
     m = t.order
     objects = _value_objects(t.entries.values()).values()  # one test per value object
-    if len(x) != t.dim or not _rational(chain([value], x, objects)):  # apply names a bad length
+    if len(x) != t.dim or not _all_exact(chain([value], x, objects)):  # apply names a bad length
         contracted = t.apply(x)
         residual = max((abs(contracted[i] - value * x[i] ** (m - 1)) for i in range(t.dim)), default=Fraction(0))
     else:  # |s_i/scale - value * x_i^(m-1)| over one denominator: integers until the end

@@ -7,8 +7,10 @@ with index multiplicities m_1..m_j occupies m!/(m_1! ... m_j!) distinct
 positions of the dense tensor; that count is the multiplicity weight used to
 convert between per-position values and orbit totals.
 
-Values are exact ``fractions.Fraction`` everywhere except the
-eigen-normalized adjacency variant, whose k-th roots force floats.
+Values are exact ``fractions.Fraction`` in every tensor the package builds
+except the eigen-normalized layer tensor, whose k-th roots force floats.
+The module knows no hypergraph: the tensors of one are built in
+``uniformize`` and ``banerjee``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import chain, compress, groupby, repeat
 from operator import add, and_, not_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .hypergraph import Hypergraph, _integer, _trusted, _uniform_size, degrees
+from .hypergraph import _integer
 
 Key = tuple[int, ...]
 Value = Fraction | float
@@ -210,7 +212,7 @@ def _exact_sums(entries: Mapping[Key, Value], order: int, x: Sequence) -> tuple[
     return sums, xs, value_den, value_den * x_den ** (order - 1)
 
 
-def _rational(values: Iterable) -> bool:
+def _all_exact(values: Iterable) -> bool:
     """Whether every value is exact (int or Fraction), so sums can stay exact."""
     return all(isinstance(v, (int, Fraction)) for v in values)
 
@@ -234,7 +236,7 @@ def _slice_numerators(entries: Mapping[Key, Value], order: int) -> tuple[dict[in
     objects = _value_objects(entries.values())
     sums: dict[int, Value] = {}
     get = sums.get
-    if not _rational(objects.values()):
+    if not _all_exact(objects.values()):
         for key, value in sorted(entries.items()):
             for pos, arrangements in _targets(key):
                 sums[key[pos]] = get(key[pos], 0.0) + _float_coefficient(value, arrangements)
@@ -409,7 +411,7 @@ class SymTensor:
             raise ValueError(f"vector length {len(x)} does not match dim {self.dim}")
         if self.order == 1:  # every rest is empty: x takes no part
             x = [1] * self.dim
-        if not _rational(_value_objects(self.entries.values()).values()) or not _rational(x):
+        if not _all_exact(_value_objects(self.entries.values()).values()) or not _all_exact(x):
             plan = _float_plan(self.entries, self.order)  # floats add in key order
             return _float_fold(plan, [0.0, *map(float, x)])[1:]
         sums, _, _, scale = _exact_sums(self.entries, self.order, x)
@@ -466,54 +468,3 @@ def _coo_rows(width: int):
     ]
     exec("\n".join(lines), namespace := {"format_value": format_value})
     return namespace["rows"]
-
-
-def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
-    if k is not None:
-        _integer(k, "tensor order")
-    inferred = _uniform_size(hk)
-    if inferred is None:
-        if k is None:
-            raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
-        _integer(k, "tensor order", 1)
-        return k
-    if k is not None and k != inferred:
-        raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")
-    return inferred
-
-
-def layer_tensor_raw(hk: Hypergraph, k: int | None = None) -> SymTensor:
-    """Order-k tensor with value 1 at each edge's canonical key."""
-    k = _uniform_cardinality(hk, k)
-    # the edges of a validated uniform hypergraph give distinct canonical keys
-    return _trusted(SymTensor, k, hk.n, dict.fromkeys((tuple(sorted(e)) for e in hk.edges), Fraction(1)))
-
-
-def layer_tensor_degree_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:
-    """Order-k tensor with value 1/(k-1)! at each edge's canonical key.
-
-    Normalized so that each mode-i slice sums to the degree of vertex i.
-    """
-    k = _uniform_cardinality(hk, k)
-    value = Fraction(1, math.factorial(k - 1))
-    # the edges of a validated uniform hypergraph give distinct canonical keys
-    return _trusted(SymTensor, k, hk.n, {tuple(sorted(e)): value for e in hk.edges})
-
-
-def layer_tensor_eigen_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:
-    """Degree-normalized variant scaled by the product of d_i^(-1/k).
-
-    Degrees are taken within ``hk`` itself.  The k-th roots make the entries
-    floating point; vertices of degree zero never occur in a stored key.
-    """
-    k = _uniform_cardinality(hk, k)
-    deg = degrees(hk)
-    base = 1.0 / math.factorial(k - 1)
-    entries: dict[Key, float] = {}
-    for e in hk.edges:
-        key = tuple(sorted(e))
-        value = base
-        for i in key:
-            value *= deg[i - 1] ** (-1.0 / k)
-        entries[key] = value
-    return SymTensor(k, hk.n, entries)

@@ -1,12 +1,15 @@
-"""Make a general hypergraph uniform and read facts back off its tensor.
+"""Split a general hypergraph into layers, make it uniform, and read facts back off its tensor.
 
+``decompose`` splits a hypergraph into its cardinality layers, and the three
+``layer_tensor_*`` builders give each uniform layer its order-k tensor.
 A hypergraph with edge cardinalities up to k_max gains k_max - 1 special
 vertices, indexed n+1..n+k_max-1.  Every edge of size s is padded with the
 suffix {n+s, ..., n+k_max-1}, which records s in the padded edge itself and
 makes the construction reversible.  The paper's iterative route, rounds of
 ``vertex_augment`` and ``merge`` over the weighted cardinality layers, gives the
 same family; ``layered_uniform`` builds it unrolled.  Both routes feed the
-symmetric e-adjacency tensor.
+symmetric e-adjacency tensor, which keeps the layers apart: each key's padding
+names the layer of its edge.
 """
 
 from __future__ import annotations
@@ -17,13 +20,85 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, getitem
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .hypergraph import Hypergraph, WeightedHypergraph, _integer, _rational, _trusted, _uniform_size
-from .layers import decompose
-from .symtensor import SymTensor, _quotient, _slice_numerators, _total
+from .hypergraph import Hypergraph, WeightedHypergraph, _integer, _rational, _trusted, degrees
+from .symtensor import Key, SymTensor, _quotient, _slice_numerators, _total
 
-CoefficientPolicy = str | Sequence[Fraction]
+CoefficientPolicy = str | list[Fraction] | tuple[Fraction, ...]
+
+
+def decompose(h: Hypergraph) -> tuple[Hypergraph, ...]:
+    """The cardinality layers of h: layer k, at index k - 1, holds exactly the edges of size k.
+
+    Every layer keeps the full vertex set, so it is k-uniform by construction
+    (possibly edgeless), and each edge of h lies in exactly one layer.
+    """
+    if h.p == 0:
+        raise ValueError("cannot decompose a hypergraph with no edges")
+    grouped: list[list] = [[] for _ in range(h.k_max)]
+    for e in h.edges:
+        grouped[len(e) - 1].append(e)
+    return tuple(_trusted(Hypergraph, h.n, tuple(g)) for g in grouped)
+
+
+def _uniform_size(h: Hypergraph) -> int | None:
+    """The one edge size of a uniform hypergraph; None when it has no edges."""
+    sizes = {len(e) for e in h.edges}
+    if len(sizes) > 1:
+        raise ValueError("hypergraph is not uniform")
+    return sizes.pop() if sizes else None
+
+
+def _uniform_cardinality(hk: Hypergraph, k: int | None) -> int:
+    if k is not None:
+        _integer(k, "tensor order")
+    inferred = _uniform_size(hk)
+    if inferred is None:
+        if k is None:
+            raise ValueError("edgeless hypergraph: the uniform cardinality must be given")
+        _integer(k, "tensor order", 1)
+        return k
+    if k is not None and k != inferred:
+        raise ValueError(f"hypergraph is {inferred}-uniform, not {k}-uniform")
+    return inferred
+
+
+def layer_tensor_raw(hk: Hypergraph, k: int | None = None) -> SymTensor:
+    """Order-k tensor with value 1 at each edge's canonical key."""
+    k = _uniform_cardinality(hk, k)
+    # the edges of a validated uniform hypergraph give distinct canonical keys
+    return _trusted(SymTensor, k, hk.n, dict.fromkeys((tuple(sorted(e)) for e in hk.edges), Fraction(1)))
+
+
+def layer_tensor_degree_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:
+    """Order-k tensor with value 1/(k-1)! at each edge's canonical key.
+
+    Normalized so that each mode-i slice sums to the degree of vertex i.
+    """
+    k = _uniform_cardinality(hk, k)
+    value = Fraction(1, math.factorial(k - 1))
+    # the edges of a validated uniform hypergraph give distinct canonical keys
+    return _trusted(SymTensor, k, hk.n, {tuple(sorted(e)): value for e in hk.edges})
+
+
+def layer_tensor_eigen_normalized(hk: Hypergraph, k: int | None = None) -> SymTensor:
+    """Degree-normalized variant scaled by the product of d_i^(-1/k).
+
+    Degrees are taken within ``hk`` itself.  The k-th roots make the entries
+    floating point; vertices of degree zero never occur in a stored key.
+    """
+    k = _uniform_cardinality(hk, k)
+    deg = degrees(hk)
+    base = 1.0 / math.factorial(k - 1)
+    entries: dict[Key, float] = {}
+    for e in hk.edges:
+        key = tuple(sorted(e))
+        value = base
+        for i in key:
+            value *= deg[i - 1] ** (-1.0 / k)
+        entries[key] = value
+    return SymTensor(k, hk.n, entries)
 
 
 def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction, ...]:
@@ -32,14 +107,14 @@ def layer_coefficients(policy: CoefficientPolicy, k_max: int) -> tuple[Fraction,
     ``"unit"`` takes every c_k = 1.  ``"handshake"`` takes c_k = k_max/k,
     which makes the tensor's total weight count each edge k_max times, the
     way every graph edge is counted twice in a degree sum.  An explicit
-    sequence of k_max positive rationals is accepted as-is.
+    list or tuple of k_max positive rationals is accepted as-is.
     """
     _integer(k_max, "k_max", 1)
-    if isinstance(policy, str):
-        if policy == "unit":
-            return (Fraction(1),) * k_max
-        if policy == "handshake":
-            return tuple(Fraction(k_max, k) for k in range(1, k_max + 1))
+    if policy == "unit":
+        return (Fraction(1),) * k_max
+    if policy == "handshake":
+        return tuple(Fraction(k_max, k) for k in range(1, k_max + 1))
+    if not isinstance(policy, (list, tuple)):
         raise ValueError(f"unknown coefficient policy {policy!r}")
     coefficients = tuple(_rational(c, "layer coefficient") for c in policy)
     if len(coefficients) != k_max:
@@ -104,16 +179,17 @@ def layered_uniform(h: Hypergraph, policy: CoefficientPolicy = "handshake") -> L
     merges in the weighted (k+1)-layer.  Unrolled, each edge e of size s becomes
     e + {n+s, ..., n+k_max-1} with weight c_s, so each layer is padded once.
     """
-    dec = decompose(h)
-    coefficients = layer_coefficients(policy, dec.k_max)
-    sizes = (s for s, layer in enumerate(dec.layers, start=1) if layer.edges)
-    suffixes = _padding_suffixes(h.n, dec.k_max, sizes)
-    edges = tuple(e.union(suffixes[s]) for s, layer in enumerate(dec.layers, start=1) for e in layer.edges)
-    weights = tuple(c for c, layer in zip(coefficients, dec.layers) for _ in layer.edges)
-    uniform = WeightedHypergraph(_trusted(Hypergraph, h.n + dec.k_max - 1, edges), weights)
+    layers = decompose(h)
+    k = len(layers)
+    coefficients = layer_coefficients(policy, k)
+    sizes = (s for s, layer in enumerate(layers, start=1) if layer.edges)
+    suffixes = _padding_suffixes(h.n, k, sizes)
+    edges = tuple(e.union(suffixes[s]) for s, layer in enumerate(layers, start=1) for e in layer.edges)
+    weights = tuple(c for c, layer in zip(coefficients, layers) for _ in layer.edges)
+    uniform = WeightedHypergraph(_trusted(Hypergraph, h.n + k - 1, edges), weights)
     # the layers come in size order, so the edges are stably sorted by size
     origin = sorted(range(1, h.p + 1), key=lambda i: len(h.edges[i - 1]))
-    return LayeredUniform(uniform, h.n, dec.k_max, tuple(origin))
+    return LayeredUniform(uniform, h.n, k, tuple(origin))
 
 
 def tensor_from_layered_uniform(lu: LayeredUniform) -> SymTensor:

@@ -161,6 +161,11 @@ class TestTensor:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("layer", ["0", "4"])
+    def test_layer_index_bounds(self, capsys, layer):
+        code, out, err = run_cli(capsys, "tensor", "--layer", layer, SAMPLE)
+        assert (code, out, err) == (1, "", f"error: layer index {layer} out of range [1, 3]\n")
+
 
 class TestPoly:
     def test_handshake_policy_is_the_default(self, capsys):

@@ -13,14 +13,16 @@ from hgtensor import (
     WeightedHypergraph,
     banerjee_alpha,
     check_eigenpair,
-    decompose,
     dnf_extract,
     dnf_extract_structural,
     homogenize_step,
+    hypergraph_polynomial,
     layer_coefficients,
     layer_counts_from_tensor,
     layer_tensor_raw,
+    layered_uniform,
     partitions_count,
+    poly_from_tensor,
     power_iteration,
     reconstruct,
     vertex_augment,
@@ -97,7 +99,7 @@ CASES = {
         lambda: dnf_extract_structural(TRIANGLE, 2, 3),
         "size 3 out of range [1, 2]",
     ),
-    # orders, dimensions and layer indices are integers by the same rule
+    # orders and dimensions are integers by the same rule
     "bool tensor order": (lambda: SymTensor(True, 3, {(1,): 1}), "tensor order must be an integer, got True"),
     "float tensor dim": (lambda: SymTensor(2, 3.5, {(1, 2): 1}), "tensor dimension must be an integer, got 3.5"),
     "float polynomial degree": (
@@ -105,8 +107,6 @@ CASES = {
         "polynomial degree must be an integer, got 2.0",
     ),
     "bool variable count": (lambda: HomogeneousPolynomial(2, True), "variable count must be an integer, got True"),
-    "float layer index": (lambda: decompose(PATH).layer(2.0), "layer index must be an integer, got 2.0"),
-    "bool layer index": (lambda: decompose(PATH).layer(True), "layer index must be an integer, got True"),
     "bool layer tensor order": (
         lambda: layer_tensor_raw(Hypergraph(3), True),
         "tensor order must be an integer, got True",
@@ -138,7 +138,6 @@ CASES = {
     "zero polynomial degree": (lambda: HomogeneousPolynomial(0, 3), "polynomial degree must be at least 1"),
     "zero max_iter": (lambda: power_iteration(TRIANGLE, max_iter=0), "max_iter must be at least 1"),
     "zero k_max": (lambda: layer_coefficients("unit", 0), "k_max must be at least 1"),
-    "layer index 0": (lambda: decompose(PATH).layer(0), "layer index 0 out of range [1, 2]"),
     "negative hypergraph vertex count": (lambda: Hypergraph(-1), "vertex count must be nonnegative"),
     "hypergraph vertex above n": (
         lambda: Hypergraph(3, [{1, 4}]),
@@ -241,6 +240,21 @@ CASES = {
     "bool augmenting vertex on an edgeless base": (
         lambda: vertex_augment(WeightedHypergraph(Hypergraph(0), ()), True),
         "fresh vertex must be an integer, got True",
+    ),
+    # a policy is a name or a list or tuple of coefficients, and weights are a list or tuple
+    "int coefficient policy": (lambda: layer_coefficients(3, 2), "unknown coefficient policy 3"),
+    "bytes coefficient policy": (lambda: layer_coefficients(b"unit", 4), "unknown coefficient policy b'unit'"),
+    "int layered_uniform policy": (lambda: layered_uniform(PATH, 5), "unknown coefficient policy 5"),
+    "None polynomial policy": (lambda: hypergraph_polynomial(PATH, None), "unknown coefficient policy None"),
+    "int edge weights": (lambda: WeightedHypergraph(PATH, 3), "edge weights must be a list or tuple, got 3"),
+    # a tensor value becomes a coefficient exactly, so it must be finite
+    "NaN tensor value to polynomial": (
+        lambda: poly_from_tensor(SymTensor(3, 3, {(1, 2, 3): float("nan")})),
+        "key (1, 2, 3) value must be a finite number, got nan",
+    ),
+    "infinite tensor value to polynomial": (
+        lambda: poly_from_tensor(SymTensor(3, 3, {(1, 2, 3): float("inf")})),
+        "key (1, 2, 3) value must be a finite number, got inf",
     ),
     "degrees below 0": (
         lambda: vertex_degrees_from_tensor(TRIANGLE, -1),

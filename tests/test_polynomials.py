@@ -77,6 +77,15 @@ class TestTensorPolyBridge:
             t = e_adjacency_tensor(h)
             assert tensor_from_poly(poly_from_tensor(t)) == t
 
+    def test_float_values_are_multiplied_exactly(self):
+        # 0.1 * 6 in floats is 0.6000000000000001 and 1e308 * 6 overflows to inf
+        p = poly_from_tensor(SymTensor(3, 3, {(1, 2, 3): 0.1}))
+        assert p.monomials == {(1, 2, 3): Fraction(0.1) * 6}
+        back = tensor_from_poly(p).entries[(1, 2, 3)]
+        assert type(back) is Fraction and back == Fraction(0.1)
+        huge = poly_from_tensor(SymTensor(3, 3, {(1, 2, 3): 1e308}))
+        assert huge.monomials == {(1, 2, 3): Fraction(1e308) * 6}
+
 
 class TestHomogenizeStep:
     def test_frozen_example(self):

@@ -57,15 +57,15 @@ def cases(draw) -> tuple[Hypergraph, object]:
 @example(EXPLICIT)
 def test_hypergraph_polynomial_equals_the_homogenization_rounds(case):
     h, policy = case
-    dec = decompose(h)
-    coefficients = layer_coefficients(policy, dec.k_max)
+    layers = decompose(h)
+    coefficients = layer_coefficients(policy, len(layers))
 
     def layer_polynomial(k):
-        return poly_from_tensor(layer_tensor_degree_normalized(dec.layer(k), k))
+        return poly_from_tensor(layer_tensor_degree_normalized(layers[k - 1], k))
 
     p1 = layer_polynomial(1)
     r = HomogeneousPolynomial(1, p1.var_count, {key: coefficients[0] * c for key, c in p1.monomials.items()})
-    for k in range(1, dec.k_max):
+    for k in range(1, len(layers)):
         r = homogenize_step(r, layer_polynomial(k + 1), coefficients[k], h.n + k)
     unrolled = hypergraph_polynomial(h, policy)
     assert (unrolled.degree, unrolled.var_count) == (r.degree, r.var_count)
@@ -78,15 +78,15 @@ def test_hypergraph_polynomial_equals_the_homogenization_rounds(case):
 @example(EXPLICIT)
 def test_layered_uniform_equals_the_augment_and_merge_rounds(case):
     h, policy = case
-    dec = decompose(h)
-    coefficients = layer_coefficients(policy, dec.k_max)
+    layers = decompose(h)
+    coefficients = layer_coefficients(policy, len(layers))
 
     def weighted_layer(k):
-        return WeightedHypergraph(dec.layer(k), (coefficients[k - 1],) * dec.layer(k).p)
+        return WeightedHypergraph(layers[k - 1], (coefficients[k - 1],) * layers[k - 1].p)
 
     current = weighted_layer(1)
-    for k in range(1, dec.k_max):
+    for k in range(1, len(layers)):
         current = merge(vertex_augment(current, h.n + k), weighted_layer(k + 1))
     origin = tuple(h.edges.index(frozenset(i for i in e if i <= h.n)) + 1 for e in current.base.edges)
     # the edges compare as tuples, so their order counts, as do the weights' and origin's
-    assert layered_uniform(h, policy) == LayeredUniform(current, h.n, dec.k_max, origin)
+    assert layered_uniform(h, policy) == LayeredUniform(current, h.n, len(layers), origin)

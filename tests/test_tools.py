@@ -54,7 +54,7 @@ def test_prints_the_totals_of_a_directory(tmp_path):
     (tmp_path / "a.py").write_text(SOURCE)
     (tmp_path / "b.py").write_text("x = 1\n\n")
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path)], capture_output=True, text=True, check=True)
-    assert out.stdout == f"{tmp_path.name}: 17 lines, 7 code lines\n"
+    assert out.stdout == f"{tmp_path.name}: 2 modules, 17 lines, 7 code lines\n"
 
 
 def test_reach_names_the_functions_a_run_never_calls(tmp_path, monkeypatch):

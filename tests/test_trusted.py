@@ -81,7 +81,7 @@ class TestTrustedBuilders:
     def test_hypergraph_builders(self, h):
         parsed = parse_hypergraph(hg_text(h))
         assert parsed == h
-        layers = decompose(h).layers
+        layers = decompose(h)
         padded = layered_uniform(h).uniform.base  # every layer padded with its suffix, unchecked
         results = [parsed, *layers, padded]
         results.append(reconstruct(e_adjacency_tensor(h), h.n))
@@ -98,7 +98,7 @@ class TestTrustedBuilders:
         homogenized = hypergraph_polynomial(h)
         back = tensor_from_poly(p)
         builders = (layer_tensor_degree_normalized, layer_tensor_raw)
-        layers = enumerate(decompose(h).layers, start=1)
+        layers = enumerate(decompose(h), start=1)
         layer_tensors = [build(layer, k) for k, layer in layers for build in builders]
         for obj in (t, rival, back, *layer_tensors):
             assert_validated_equal(obj)
@@ -112,7 +112,7 @@ class TestTrustedBuilders:
     @PROPERTY
     @given(mixed_hypergraphs())
     def test_float_tensor_gives_fraction_coefficients(self, h):
-        layer = decompose(h).layer(h.k_max)
+        layer = decompose(h)[-1]
         p = poly_from_tensor(layer_tensor_eigen_normalized(layer))
         assert_validated_equal(p)
         assert_exact(p.monomials.values())

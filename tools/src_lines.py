@@ -1,9 +1,9 @@
-"""Print the lines and the code lines of the package source.
+"""Print the module count, the lines and the code lines of the package source.
 
 Code lines leave out blank lines, comment lines and docstrings (the leading
 string of a module, class or function).  One count serves every quote of the
 line budget: tokenize names the lines that hold code, ast names the lines
-that hold docstrings.
+that hold docstrings.  Every ``.py`` file under the directory is one module.
 
     python tools/src_lines.py [directory]
 
@@ -46,7 +46,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "hgtensor"
     totals = [count(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))]
     lines, code = (sum(column) for column in zip(*totals)) if totals else (0, 0)
-    print(f"{root.name}: {lines} lines, {code} code lines")
+    print(f"{root.name}: {len(totals)} modules, {lines} lines, {code} code lines")
     return 0
 
 
